@@ -1,108 +1,26 @@
-"""Hot sampling/decoding kernels: numba-jitted loop with a pure-numpy twin.
+"""Hot sampling/decoding kernel: one vectorized numpy walk over a chunk.
 
-Both backends consume one uniform variate per qubit per shot, in the same
-order, from the same pre-generated array, so their outputs are bit-for-bit
-identical.  The numpy path is selected by setting QDQ_PURE_NUMPY=1 (or when
-numba is unavailable); see benchmarks/bench_mc.py for a timing comparison.
+The kernel consumes one uniform variate per qubit per shot from a
+pre-generated (shots, n) array, so its failure count depends only on the
+uniforms, never on how the caller chunks them.
 
 A "letter" is an index into the noise alphabet (0 = no error).  Each shot
 walks the blocks left to right; within a block the first qubit samples the
-marginal and each later qubit the conditional row of its predecessor.  The
-resulting base-L index is looked up in a precomputed failure table.
+marginal and each later qubit the conditional row of its predecessor.  A
+letter is the number of cumulative thresholds of its row that the uniform
+reaches, summed as L-1 one-dimensional comparisons (the conditional
+thresholds are gathered per shot from contiguous columns).  The resulting
+base-L index is looked up in a precomputed failure table.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCE_NUMPY = os.environ.get("QDQ_PURE_NUMPY", "").lower() in ("1", "true", "yes")
-
-try:  # pragma: no cover - exercised implicitly by backend selection
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled via QDQ_PURE_NUMPY")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def active_backend() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def _count_failures_python(
-    uniforms: np.ndarray,
-    block_starts: np.ndarray,
-    block_sizes: np.ndarray,
-    cum_marginal: np.ndarray,
-    cum_conditional: np.ndarray,
-    strides: np.ndarray,
-    fail_table: np.ndarray,
-) -> int:
-    shots = uniforms.shape[0]
-    n_letters = cum_marginal.shape[0]
-    failures = 0
-    for s in range(shots):
-        index = 0
-        for b in range(block_starts.shape[0]):
-            start = block_starts[b]
-            prev = 0
-            for offset in range(block_sizes[b]):
-                q = start + offset
-                u = uniforms[s, q]
-                row = cum_marginal if offset == 0 else cum_conditional[prev]
-                letter = 0
-                for t in range(n_letters - 1):
-                    if u >= row[t]:
-                        letter += 1
-                index += letter * strides[q]
-                prev = letter
-        failures += fail_table[index]
-    return failures
-
-
-_count_failures_numba = njit(cache=True, nogil=True)(_count_failures_python)
-
-
-def _count_failures_numpy(
-    uniforms: np.ndarray,
-    block_starts: np.ndarray,
-    block_sizes: np.ndarray,
-    cum_marginal: np.ndarray,
-    cum_conditional: np.ndarray,
-    strides: np.ndarray,
-    fail_table: np.ndarray,
-) -> int:
-    shots = uniforms.shape[0]
-    n_letters = cum_marginal.shape[0]
-    thresholds = cum_conditional[:, : n_letters - 1]
-    index = np.zeros(shots, dtype=np.int64)
-    for b in range(block_starts.shape[0]):
-        start = int(block_starts[b])
-        prev = np.zeros(shots, dtype=np.int64)
-        for offset in range(int(block_sizes[b])):
-            q = start + offset
-            u = uniforms[:, q]
-            if offset == 0:
-                letter = (u[:, None] >= cum_marginal[None, : n_letters - 1]).sum(
-                    axis=1
-                )
-            else:
-                letter = (u[:, None] >= thresholds[prev]).sum(axis=1)
-            index += letter * int(strides[q])
-            prev = letter
-    return int(fail_table[index].sum())
+    """Name of the only kernel, kept for run metadata."""
+    return "numpy"
 
 
 def count_failures(
@@ -113,33 +31,25 @@ def count_failures(
     cum_conditional: np.ndarray,
     strides: np.ndarray,
     fail_table: np.ndarray,
-    backend: str | None = None,
 ) -> int:
-    """Dispatch one chunk of shots to the requested (or default) backend."""
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        return int(
-            _count_failures_numba(
-                uniforms,
-                block_starts,
-                block_sizes,
-                cum_marginal,
-                cum_conditional,
-                strides,
-                fail_table,
-            )
-        )
-    if backend == "numpy":
-        return _count_failures_numpy(
-            uniforms,
-            block_starts,
-            block_sizes,
-            cum_marginal,
-            cum_conditional,
-            strides,
-            fail_table,
-        )
-    raise ValueError(f"unknown backend {backend!r}; use 'numba' or 'numpy'")
+    """Number of failing shots in one chunk of uniforms (rows are shots)."""
+    n_letters = cum_marginal.shape[0]
+    columns = uniforms.T.copy()
+    thresholds = [
+        np.ascontiguousarray(cum_conditional[:, t]) for t in range(n_letters - 1)
+    ]
+    index = np.zeros(uniforms.shape[0], dtype=np.intp)
+    for start, size in zip(block_starts.tolist(), block_sizes.tolist()):
+        for q in range(start, start + size):
+            u = columns[q]
+            if q == start:
+                letter = (u >= cum_marginal[0]).astype(np.intp)
+                for t in range(1, n_letters - 1):
+                    letter += u >= cum_marginal[t]
+            else:
+                letter = (u >= thresholds[0][prev]).astype(np.intp)
+                for t in range(1, n_letters - 1):
+                    letter += u >= thresholds[t][prev]
+            index += letter * int(strides[q])
+            prev = letter
+    return int(np.count_nonzero(fail_table[index]))

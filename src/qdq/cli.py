@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 internal check failure, 2 usage error.  All output
-is CSV or JSON on stdout (or --out); CSV bytes are deterministic for fixed
-flags.  Variant policy for the ten-qubit curves: ``literal`` is the full
-recursion (default), ``printed`` the simplified outer form that never
-crosses the identity line for dq10, ``table`` the combination matching the
-table1 threshold digits (differs from literal only for qd10).
+Exit codes: 0 success, 1 internal check failure, 2 usage error.  Flags are
+range-checked at parse time, so a usage error exits 2 with one JSON object
+on stderr before any work runs.  All output is CSV or JSON on stdout (or
+--out); CSV bytes are deterministic for fixed flags.  Variant policy for
+the ten-qubit curves: ``literal`` is the full recursion (default),
+``printed`` the simplified outer form that never crosses the identity line
+for dq10, ``table`` the combination matching the table1 threshold digits
+(differs from literal only for qd10).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import _tables, analytic, concat, dfs, mc, stabilizer, verify
 from .analytic import Alphabet, NoiseModel
@@ -218,12 +220,56 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one JSON object on stderr."""
+
+    def error(self, message: str):  # type: ignore[override]
+        record = {"error": message, "usage": self.format_usage().strip()}
+        self.exit(2, json.dumps(record) + "\n")
+
+
+def _parse_number(text: str, cast: Callable[[str], Any]):
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+
+
+def _unit_interval(text: str) -> float:
+    value = _parse_number(text, float)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _parse_number(text, float)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _parse_number(text, int)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = _parse_number(text, int)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write output to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdq",
         description="Concatenated active/passive code construction and analysis",
     )
@@ -262,19 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     fid_sub = fid.add_subparsers(dest="action", required=True)
     sweep = fid_sub.add_parser("sweep", help="CSV sweep over p")
     sweep.add_argument("--code", required=True, choices=analytic.CODE_CURVE_IDS)
-    sweep.add_argument("--mu", type=float, required=True)
-    sweep.add_argument("--pmin", type=float, required=True)
-    sweep.add_argument("--pmax", type=float, required=True)
-    sweep.add_argument("--step", type=float, required=True)
+    sweep.add_argument("--mu", type=_unit_interval, required=True)
+    sweep.add_argument("--pmin", type=_unit_interval, required=True)
+    sweep.add_argument("--pmax", type=_unit_interval, required=True)
+    sweep.add_argument("--step", type=_positive_float, required=True)
     sweep.add_argument("--variant", default="literal", choices=analytic.VARIANTS)
     _add_out(sweep)
     sweep.set_defaults(handler=_cmd_fidelity)
 
     thr = sub.add_parser("threshold", help="pseudothreshold root finding")
     thr.add_argument("--code", required=True, choices=analytic.CODE_CURVE_IDS)
-    thr.add_argument("--mu", type=float, default=0.0)
+    thr.add_argument("--mu", type=_unit_interval, default=0.0)
     thr.add_argument("--variant", default="literal", choices=analytic.VARIANTS)
-    thr.add_argument("--depth", type=int, default=1)
+    thr.add_argument("--depth", type=_positive_int, default=1)
     _add_out(thr)
     thr.set_defaults(handler=_cmd_threshold)
 
@@ -282,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     mc_sub = mc_p.add_subparsers(dest="action", required=True)
     run = mc_sub.add_parser("run", help="estimate and compare to the recursion")
     run.add_argument("--code", required=True, choices=analytic.CODE_CURVE_IDS)
-    run.add_argument("--p", type=float, required=True)
-    run.add_argument("--mu", type=float, required=True)
-    run.add_argument("--shots", type=int, default=100_000)
-    run.add_argument("--seed", type=int, default=2024)
+    run.add_argument("--p", type=_unit_interval, required=True)
+    run.add_argument("--mu", type=_unit_interval, required=True)
+    run.add_argument("--shots", type=_positive_int, default=100_000)
+    run.add_argument("--seed", type=_nonnegative_int, default=2024)
     run.add_argument(
         "--alphabet",
         choices=[a.value for a in Alphabet],
@@ -297,8 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run self-check suites")
     ver.add_argument("--suite", choices=list(verify.SUITES), default=None)
-    ver.add_argument("--code", default=None, help="restrict codeword checks")
-    ver.add_argument("--shots", type=int, default=100_000, help="MC suite shots")
+    ver.add_argument(
+        "--code",
+        default=None,
+        choices=analytic.CODE_CURVE_IDS,
+        help="restrict codeword checks",
+    )
+    ver.add_argument(
+        "--shots", type=_positive_int, default=100_000, help="MC suite shots"
+    )
     _add_out(ver)
     ver.set_defaults(handler=_cmd_verify)
 
@@ -312,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.handler is _cmd_fidelity and args.pmin > args.pmax:
+        parser.error(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
     try:
         return args.handler(args)
     except (ValueError, RuntimeError) as exc:

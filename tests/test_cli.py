@@ -27,8 +27,10 @@ def test_codes_list_and_describe(capsys):
 
 
 def test_codes_describe_unknown_exits_one(capsys):
-    code, _ = run(capsys, "codes", "describe", "nope")
+    code = cli.main(["codes", "describe", "nope"])
+    captured = capsys.readouterr()
     assert code == 1
+    assert "error" in json.loads(captured.err)
 
 
 def test_concat_build_qd6(capsys):
@@ -112,6 +114,7 @@ def test_mc_run_smoke(capsys):
         assert key in payload
     assert payload["shots"] == 20000 and payload["seed"] == 5
     assert payload["alphabet"] == "bitflip"
+    assert payload["backend"] == "numpy"
     assert payload["z"] <= 6.0
 
 
@@ -140,3 +143,32 @@ def test_out_flag_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text().startswith("p,mu,pf,fe\n")
+
+
+SWEEP = ("fidelity", "sweep", "--code", "dq6", "--mu", "0")
+MC_RUN = ("mc", "run", "--code", "qd6", "--mu", "0")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "0"), "--step"),
+        (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "-0.1"), "--step"),
+        (SWEEP + ("--pmin", "0.3", "--pmax", "0.1", "--step", "0.1"), "--pmin"),
+        (("threshold", "--code", "dq6", "--depth", "0"), "--depth"),
+        (("verify", "--suite", "codewords", "--code", "nonexistent"), "--code"),
+        (MC_RUN + ("--p", "1.5"), "--p"),
+        (MC_RUN + ("--p", "0.1", "--shots", "many"), "--shots"),
+    ],
+    ids=["step-zero", "step-negative", "pmin-above-pmax", "depth-zero",
+         "verify-unknown-code", "p-above-one", "shots-not-integer"],
+)
+def test_bad_flag_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert flag in record["error"]
+    assert record["usage"].startswith("usage: qdq")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdq import _kernels, concat, mc, pauli, stabilizer
+from qdq import concat, mc, pauli, stabilizer
 from qdq.analytic import Alphabet, NoiseModel
 from qdq.stabilizer import ErrorKind
 
@@ -28,27 +28,83 @@ def test_chunking_does_not_change_the_stream(monkeypatch):
     assert rechunked.failures == baseline.failures
 
 
-def test_backends_agree_bit_for_bit():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable in this environment")
-    for code_id in ("qd6", "dq6"):
-        config = cfg(code_id=code_id, p=0.15, mu=0.4, shots=50_000, seed=99)
-        nb = mc.estimate_pf(config, backend="numba")
-        np_ = mc.estimate_pf(config, backend="numpy")
-        assert nb.failures == np_.failures
-
-
 def test_fast_path_matches_reference_path_shot_for_shot():
     for code_id, alphabet in (
         ("qd6", Alphabet.BITFLIP),
         ("dq6", Alphabet.BITFLIP),
         ("qd10", Alphabet.DEPOLARIZING3),
+        ("dq10", Alphabet.DEPOLARIZING3),
     ):
         config = cfg(code_id=code_id, p=0.2, mu=0.5, shots=2_000, seed=31,
                      alphabet=alphabet)
-        fast = mc.estimate_pf(config, backend="numpy")
+        fast = mc.estimate_pf(config)
         slow = mc.estimate_pf_reference(config)
         assert fast.failures == slow.failures, code_id
+
+
+def _pattern_error(index, n, n_letters):
+    """The Pauli of letter pattern ``index`` = sum_q letter_q * L**q."""
+    letters = []
+    for _ in range(n):
+        index, letter = divmod(index, n_letters)
+        letters.append("IXYZ"[letter])
+    return pauli.parse("".join(letters))
+
+
+def _assert_table_matches_decoder(code_id, alphabet, indices):
+    ccode = concat.concatenated(code_id)
+    table = mc._failure_table(code_id, alphabet)
+    n_letters = 2 if alphabet is Alphabet.BITFLIP else 4
+    assert table.shape == (n_letters**ccode.spec.n_cc,)
+    for index in indices:
+        error = _pattern_error(int(index), ccode.spec.n_cc, n_letters)
+        assert bool(table[index]) == mc.decode_shot(ccode, error), (code_id, str(error))
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet.BITFLIP, Alphabet.DEPOLARIZING3])
+@pytest.mark.parametrize("code_id", ["qd6", "dq6"])
+def test_failure_table_matches_reference_decoder_on_every_pattern(code_id, alphabet):
+    size = (2 if alphabet is Alphabet.BITFLIP else 4) ** 6
+    _assert_table_matches_decoder(code_id, alphabet, range(size))
+
+
+@pytest.mark.parametrize("code_id", ["qd10", "dq10"])
+def test_failure_table_matches_reference_decoder_on_sample(code_id):
+    size = 4**10
+    sample = np.random.default_rng(41).choice(size, 4096, replace=False)
+    indices = np.concatenate(([0, size - 1], sample))
+    _assert_table_matches_decoder(code_id, Alphabet.DEPOLARIZING3, indices)
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet.BITFLIP, Alphabet.DEPOLARIZING3])
+@pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
+def test_single_noiseless_shot_does_not_fail(code_id, alphabet):
+    # The table-warming call perfbench makes during setup.
+    est = mc.estimate_pf(cfg(code_id=code_id, p=0.0, mu=0.0, shots=1, seed=0,
+                             alphabet=alphabet))
+    assert (est.failures, est.pf_hat, est.stderr, est.shots) == (0, 0.0, 0.0, 1)
+    assert est.backend == "numpy"
+
+
+@pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
+def test_full_correlation_depolarizing_matches_reference(code_id):
+    config = cfg(code_id=code_id, p=0.3, mu=1.0, shots=1_500, seed=19,
+                 alphabet=Alphabet.DEPOLARIZING3)
+    fast = mc.estimate_pf(config)
+    assert fast.failures == mc.estimate_pf_reference(config).failures
+    assert 0 < fast.failures < config.shots
+
+
+def test_rechunking_keeps_ten_qubit_counts(monkeypatch):
+    def failures(shots, chunk):
+        monkeypatch.setattr(mc, "CHUNK_SHOTS", chunk)
+        return mc.estimate_pf(cfg(code_id="dq10", p=0.1, mu=0.5, shots=shots,
+                                  seed=5, alphabet=Alphabet.DEPOLARIZING3)).failures
+
+    baseline = failures(40_000, mc.CHUNK_SHOTS)
+    for chunk in (7_001, 1 << 16):
+        assert failures(40_000, chunk) == baseline, chunk
+    assert failures(300, 1) == failures(300, 1 << 16)
 
 
 def test_zero_error_rate_gives_zero_exactly():
