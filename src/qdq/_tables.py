@@ -125,13 +125,17 @@ FIVE_QUBIT_ONE_TERMS = [
 FIVE_QUBIT_ONE_SIGN_ERRATUM = ("11010", -1)
 
 # --------------------------------------------------------------------------
-# Summary metrics for the four concatenated codes, in registry order.
+# Summary of each concatenated code: equivalence-set count and set size,
+# Hamming efficiencies phi and phi', the tabulated pseudothreshold of its
+# table1 variant with the tolerance it is checked to, and, for the six-qubit
+# codes, the full equivalence sets.
 # --------------------------------------------------------------------------
 
-TABLE_CODES = ("qd6", "dq6", "qd10", "dq10")
-TABLE_E_TYPE = ("X,XX", "X,XX", "X,Y,Z,XX", "X,Y,Z,XX")
-TABLE_PHI = ("1", "1", "1", "1")
-TABLE_PHI_PRIME = ("2/5", "4/5", "4/9", "8/9")
-TABLE_P_THRES = (0.1293, 0.2252, 0.0298, 0.0579)
-# Variant whose pseudothreshold matches the digits above.
-TABLE_VARIANT = ("literal", "literal", "table", "literal")
+SUMMARY = {
+    "qd6": {"sets": (4, 8), "phi": "1", "phi_prime": "2/5", "p_thres": (0.1293, 5e-4),
+            "equivalence": EQUIV_SETS_QD6},
+    "dq6": {"sets": (16, 2), "phi": "1", "phi_prime": "4/5", "p_thres": (0.2252, 5e-4),
+            "equivalence": EQUIV_SETS_DQ6},
+    "qd10": {"sets": (16, 32), "phi": "1", "phi_prime": "4/9", "p_thres": (0.0298, 1e-3)},
+    "dq10": {"sets": (256, 2), "phi": "1", "phi_prime": "8/9", "p_thres": (0.0579, 1e-3)},
+}

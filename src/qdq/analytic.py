@@ -8,8 +8,8 @@ layer at (mu, p), every outer layer at (0, inner result).
 
 The three-qubit repetition formula is implemented as the chain expansion
 (3p^2 - 2p^3)(1-mu)^2 + p mu (2-mu); its mu=0 and mu=1 limits are pinned by
-regression tests.  Two documented variant knobs exist for the ten-qubit
-curves, selected by name:
+regression tests.  A code's layers, per variant, come from its
+:data:`qdq.concat.REGISTRY` record.  Three variants exist:
 
 * ``literal`` (default): full recursion with the four-letter subspace
   failure 1 - (1-p)a - (p/3)((p/3)(1-mu) + mu) as the inner/outer layer.
@@ -24,6 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+from . import concat
 
 
 class Alphabet(str, enum.Enum):
@@ -84,6 +86,11 @@ def _pf_dfs2_bitflip(mu: float, p: float) -> float:
     return 2 * p * (1 - p) * (1 - mu)
 
 
+def _pf_dfs2_printed(mu: float, p: float) -> float:
+    # Outer-layer form only: it ignores mu, which is 0 on outer layers.
+    return (2.0 / 3.0) * p * (1.0 - p)
+
+
 def _pf_kl5(mu: float, p: float) -> float:
     a = (1 - p) * (1 - mu) + mu
     return (
@@ -104,6 +111,7 @@ _STANDALONE = {
     "dfs2-bitflip": _pf_dfs2_bitflip,
     "kl5": _pf_kl5,
     "dfs2-depolarizing3": _pf_dfs2_depolarizing3,
+    "dfs2-printed": _pf_dfs2_printed,
 }
 
 
@@ -118,28 +126,31 @@ def standalone_pf(code_id: str, mu: float, p: float) -> float:
     return fn(mu, p)
 
 
-@dataclass(frozen=True)
-class CodeFailureFormula:
-    code_id: str
-    evaluate: Callable[[float, float], float]
-
-
-def formula(code_id: str) -> CodeFailureFormula:
+def formula(code_id: str) -> Callable[[float, float], float]:
+    """The stand-alone (mu, p) -> failure probability formula of a base code."""
     if code_id not in _STANDALONE:
         valid = ", ".join(_STANDALONE)
         raise ValueError(f"unknown formula {code_id!r}; valid: {valid}")
-    return CodeFailureFormula(code_id, _STANDALONE[code_id])
+    return _STANDALONE[code_id]
 
 
-def concat_pf(layers: Sequence[CodeFailureFormula], mu: float, p: float) -> float:
+def _snap_unit(value: float) -> float:
+    # Formulas that cancel, such as kl5's 1 - sum(success terms), can land a
+    # few ulps outside [0, 1] (-1.1e-16 at p ~ 3e-9); further out still raises.
+    if not -1e-12 <= value <= 1.0 + 1e-12:
+        raise ValueError(f"layer output must lie in [0, 1], got {value}")
+    return min(max(value, 0.0), 1.0)
+
+
+def concat_pf(layers: Sequence[Callable[[float, float], float]], mu: float, p: float) -> float:
     """Recursive failure probability; innermost layer listed last."""
     if not layers:
         raise ValueError("at least one layer required")
     _check_unit("p", p)
     _check_unit("mu", mu)
-    result = layers[-1].evaluate(mu, p)
+    result = _snap_unit(layers[-1](mu, p))
     for layer in reversed(layers[:-1]):
-        result = layer.evaluate(0.0, result)
+        result = _snap_unit(layer(0.0, result))
     return result
 
 
@@ -148,31 +159,14 @@ def concat_pf(layers: Sequence[CodeFailureFormula], mu: float, p: float) -> floa
 # ---------------------------------------------------------------------------
 
 VARIANTS = ("literal", "printed", "table")
-CODE_CURVE_IDS = ("qd6", "dq6", "qd10", "dq10")
 
 
 def code_failure(code_id: str, variant: str = "literal") -> Callable[[float, float], float]:
     """(mu, p) -> failure probability for one concatenated code curve."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}")
-    if code_id == "qd6":
-        layers = [formula("rep3"), formula("dfs2-bitflip")]
-    elif code_id == "dq6":
-        layers = [formula("dfs2-bitflip"), formula("rep3")]
-    elif code_id == "qd10":
-        inner = "dfs2-bitflip" if variant == "table" else "dfs2-depolarizing3"
-        layers = [formula("kl5"), formula(inner)]
-    elif code_id == "dq10":
-        if variant == "printed":
-            def printed_dq10(mu: float, p: float) -> float:
-                r = _pf_kl5(mu, p)
-                return (2.0 / 3.0) * r * (1.0 - r)
-
-            return printed_dq10
-        layers = [formula("dfs2-depolarizing3"), formula("kl5")]
-    else:
-        valid = ", ".join(CODE_CURVE_IDS)
-        raise ValueError(f"unknown code id {code_id!r}; valid: {valid}")
+    rec = concat.record(code_id)
+    layers = [formula(name) for name in rec.variant_layers.get(variant, rec.layers)]
     return lambda mu, p: concat_pf(layers, mu, p)
 
 

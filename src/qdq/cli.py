@@ -1,13 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 internal check failure, 2 usage error.  Flags are
-range-checked at parse time, so a usage error exits 2 with one JSON object
-on stderr before any work runs.  All output is CSV or JSON on stdout (or
---out); CSV bytes are deterministic for fixed flags.  Variant policy for
-the ten-qubit curves: ``literal`` is the full recursion (default),
-``printed`` the simplified outer form that never crosses the identity line
-for dq10, ``table`` the combination matching the table1 threshold digits
-(differs from literal only for qd10).
+checked at parse time, or by the handler before any work when the check
+needs other input, and a usage error exits 2 with one JSON object on
+stderr.  All output is CSV or JSON on stdout (or --out); CSV bytes are
+deterministic for fixed flags.  Code ids, curve variants and the variant
+``table1`` reports come from :data:`qdq.concat.REGISTRY`.
 """
 
 from __future__ import annotations
@@ -18,8 +16,12 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from . import _tables, analytic, concat, dfs, mc, stabilizer, verify
+from . import analytic, concat, dfs, mc, stabilizer, verify
 from .analytic import Alphabet, NoiseModel
+
+
+class _UsageError(ValueError):
+    """Bad input that only a handler can detect; exits 2 like a parse error."""
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -95,6 +97,8 @@ def _cmd_concat(args: argparse.Namespace) -> int:
 def _cmd_dfs(args: argparse.Namespace) -> int:
     group = dfs.AbelianErrorGroup.from_strings(args.elements.split(","))
     chars = dfs.characters(group)
+    if args.character is not None and not 0 <= args.character < len(chars):
+        raise _UsageError(f"--character {args.character} outside [0, {len(chars)})")
     payload = {
         "n": group.n,
         "elements": [str(g) for g in group.elements],
@@ -116,6 +120,8 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
+    if args.pmin > args.pmax:
+        raise _UsageError(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
     pf = analytic.code_failure(args.code, args.variant)
     steps = int(round((args.pmax - args.pmin) / args.step))
     lines = ["p,mu,pf,fe"]
@@ -191,26 +197,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    codes = list(_tables.TABLE_CODES)
-    phi_list = []
-    phi_prime_list = []
-    thresholds = []
-    for cid, variant in zip(codes, _tables.TABLE_VARIANT):
+    codes = concat.code_ids()
+    payload = {"codes": codes, "e_type": [], "phi": [], "phi_prime": [], "p_thres": []}
+    for cid in codes:
+        rec = concat.REGISTRY[cid]
         cc = concat.concatenated(cid)
         phi, phi_prime = concat.hamming_efficiency(
             cc.equivalence, cc.spec.n_cc, cc.spec.k_cc
         )
-        phi_list.append(_efficiency_json(phi))
-        phi_prime_list.append(_efficiency_json(phi_prime))
-        thr = analytic.pseudothreshold(analytic.failure_curve(cid, 0.0, variant))
-        thresholds.append({"value": thr, "variant": variant})
-    payload = {
-        "codes": codes,
-        "e_type": list(_tables.TABLE_E_TYPE),
-        "phi": phi_list,
-        "phi_prime": phi_prime_list,
-        "p_thres": thresholds,
-    }
+        thr = analytic.pseudothreshold(analytic.failure_curve(cid, 0.0, rec.table_variant))
+        payload["e_type"].append(rec.e_type)
+        payload["phi"].append(_efficiency_json(phi))
+        payload["phi_prime"].append(_efficiency_json(phi_prime))
+        payload["p_thres"].append({"value": thr, "variant": rec.table_variant})
     _emit_json(payload, args.out)
     return 0
 
@@ -274,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Concatenated active/passive code construction and analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    base_names = stabilizer.builtin_names()
+    code_ids = concat.code_ids()
 
     codes = sub.add_parser("codes", help="base code registry")
     codes_sub = codes.add_subparsers(dest="action", required=True)
@@ -281,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(codes_list)
     codes_list.set_defaults(handler=_cmd_codes, action="list")
     codes_desc = codes_sub.add_parser("describe", help="JSON description of one code")
-    codes_desc.add_argument("name")
+    codes_desc.add_argument("name", choices=base_names)
     _add_out(codes_desc)
     codes_desc.set_defaults(handler=_cmd_codes, action="describe")
 
     conc = sub.add_parser("concat", help="build a concatenated code")
     conc_sub = conc.add_subparsers(dest="action", required=True)
     conc_build = conc_sub.add_parser("build", help="assemble and describe")
-    conc_build.add_argument("--outer", required=True)
-    conc_build.add_argument("--inner", required=True)
+    conc_build.add_argument("--outer", required=True, choices=base_names)
+    conc_build.add_argument("--inner", required=True, choices=base_names)
     conc_build.add_argument("--order", required=True, choices=["qd", "dq"])
     _add_out(conc_build)
     conc_build.set_defaults(handler=_cmd_concat)
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     fid = sub.add_parser("fidelity", help="failure/fidelity curves")
     fid_sub = fid.add_subparsers(dest="action", required=True)
     sweep = fid_sub.add_parser("sweep", help="CSV sweep over p")
-    sweep.add_argument("--code", required=True, choices=analytic.CODE_CURVE_IDS)
+    sweep.add_argument("--code", required=True, choices=code_ids)
     sweep.add_argument("--mu", type=_unit_interval, required=True)
     sweep.add_argument("--pmin", type=_unit_interval, required=True)
     sweep.add_argument("--pmax", type=_unit_interval, required=True)
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=_cmd_fidelity)
 
     thr = sub.add_parser("threshold", help="pseudothreshold root finding")
-    thr.add_argument("--code", required=True, choices=analytic.CODE_CURVE_IDS)
+    thr.add_argument("--code", required=True, choices=code_ids)
     thr.add_argument("--mu", type=_unit_interval, default=0.0)
     thr.add_argument("--variant", default="literal", choices=analytic.VARIANTS)
     thr.add_argument("--depth", type=_positive_int, default=1)
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc_p = sub.add_parser("mc", help="Monte Carlo failure estimation")
     mc_sub = mc_p.add_subparsers(dest="action", required=True)
     run = mc_sub.add_parser("run", help="estimate and compare to the recursion")
-    run.add_argument("--code", required=True, choices=analytic.CODE_CURVE_IDS)
+    run.add_argument("--code", required=True, choices=code_ids)
     run.add_argument("--p", type=_unit_interval, required=True)
     run.add_argument("--mu", type=_unit_interval, required=True)
     run.add_argument("--shots", type=_positive_int, default=100_000)
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--code",
         default=None,
-        choices=analytic.CODE_CURVE_IDS,
+        choices=code_ids,
         help="restrict codeword checks",
     )
     ver.add_argument(
@@ -365,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.handler is _cmd_fidelity and args.pmin > args.pmax:
-        parser.error(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
     try:
         return args.handler(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1

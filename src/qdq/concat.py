@@ -20,7 +20,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -127,6 +127,14 @@ def lift_logical(inner: StabilizerCode, label: str) -> tuple[PauliString, ...]:
     return (canonical, *rest)
 
 
+def _blockwise_products(per_block) -> tuple[PauliString, ...]:
+    """Tensor product of every combination of one factor per block."""
+    return tuple(
+        functools.reduce(pauli.tensor, combo, pauli.identity(0))
+        for combo in itertools.product(*per_block)
+    )
+
+
 def canonical_lift(inner: StabilizerCode, outer_op: PauliString) -> PauliString:
     """Encode an outer-code operator blockwise via canonical inner logicals."""
     lifted = pauli.identity(0)
@@ -164,13 +172,8 @@ def build_generators(spec: ConcatSpec) -> tuple[GeneratorClass, ...]:
                 per_block.append((_canonical_letter_op(inner, label),))
             else:
                 per_block.append(lift_logical(inner, label))
-        reps = []
-        for combo in itertools.product(*per_block):
-            op = pauli.identity(0)
-            for factor in combo:
-                op = pauli.tensor(op, factor)
-            reps.append(op)
-        classes.append(GeneratorClass(tuple(reps), passive=outer.passive_mask[gi]))
+        reps = _blockwise_products(per_block)
+        classes.append(GeneratorClass(reps, passive=outer.passive_mask[gi]))
     return tuple(classes)
 
 
@@ -224,29 +227,16 @@ def equivalence_classes(spec: ConcatSpec) -> EquivalenceClass:
     sets: list[tuple[PauliString, ...]] = []
     if spec.order is Order.QD:
         for outer_err in correctable_errors(outer):
-            per_block = [
-                lift_logical(inner, outer_err.letter(q)) for q in range(outer.n)
-            ]
-            members = []
-            for combo in itertools.product(*per_block):
-                op = pauli.identity(0)
-                for factor in combo:
-                    op = pauli.tensor(op, factor)
-                members.append(op)
-            sets.append(tuple(members))
+            per_block = [lift_logical(inner, outer_err.letter(q)) for q in range(outer.n)]
+            sets.append(_blockwise_products(per_block))
     else:
         partners = [
             canonical_lift(inner, s)
             for s in stabilizer.stabilizer_group(outer)
             if (s.x, s.z) != (0, 0)
         ]
-        per_block = [correctable_errors(inner)] * outer.n
-        for combo in itertools.product(*per_block):
-            op = pauli.identity(0)
-            for factor in combo:
-                op = pauli.tensor(op, factor)
-            members = [op] + [pauli.multiply(p, op) for p in partners]
-            sets.append(tuple(members))
+        for op in _blockwise_products([correctable_errors(inner)] * outer.n):
+            sets.append((op, *(pauli.multiply(p, op) for p in partners)))
     return EquivalenceClass(tuple(sets))
 
 
@@ -323,16 +313,50 @@ class ConcatCode:
     passive: tuple[PauliString, ...]
 
 
-_REGISTRY = {
-    "qd6": ("repetition-3", "dfs-2", Order.QD),
-    "dq6": ("dfs-2", "repetition-3", Order.DQ),
-    "qd10": ("knill-laflamme-5", "dfs-2", Order.QD),
-    "dq10": ("dfs-2", "knill-laflamme-5", Order.DQ),
+@dataclass(frozen=True)
+class Concatenation:
+    """One registered concatenation: how it is built, its Monte Carlo letter
+    alphabet, its ``table1`` row, and its recursion as stand-alone formula
+    names, outer first, which ``variant_layers`` replaces per curve variant."""
+
+    outer: str
+    inner: str
+    order: Order
+    alphabet: str
+    e_type: str
+    layers: tuple[str, ...]
+    table_variant: str = "literal"
+    variant_layers: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+
+REGISTRY: dict[str, Concatenation] = {
+    "qd6": Concatenation("repetition-3", "dfs-2", Order.QD, "bitflip", "X,XX",
+                         ("rep3", "dfs2-bitflip")),
+    "dq6": Concatenation("dfs-2", "repetition-3", Order.DQ, "bitflip", "X,XX",
+                         ("dfs2-bitflip", "rep3")),
+    # The two-letter inner form reproduces the tabulated threshold digits.
+    "qd10": Concatenation(
+        "knill-laflamme-5", "dfs-2", Order.QD, "depolarizing3", "X,Y,Z,XX",
+        ("kl5", "dfs2-depolarizing3"), "table", {"table": ("kl5", "dfs2-bitflip")},
+    ),
+    # The printed outer form never crosses the identity line on (0, 0.5).
+    "dq10": Concatenation(
+        "dfs-2", "knill-laflamme-5", Order.DQ, "depolarizing3", "X,Y,Z,XX",
+        ("dfs2-depolarizing3", "kl5"), variant_layers={"printed": ("dfs2-printed", "kl5")},
+    ),
 }
 
 
 def code_ids() -> list[str]:
-    return list(_REGISTRY)
+    return list(REGISTRY)
+
+
+def record(code_id: str) -> Concatenation:
+    try:
+        return REGISTRY[code_id]
+    except KeyError:
+        valid = ", ".join(REGISTRY)
+        raise ValueError(f"unknown code id {code_id!r}; valid ids: {valid}") from None
 
 
 def build(outer: StabilizerCode, inner: StabilizerCode, order: Order) -> ConcatCode:
@@ -354,9 +378,5 @@ def build(outer: StabilizerCode, inner: StabilizerCode, order: Order) -> ConcatC
 
 @functools.lru_cache(maxsize=None)
 def concatenated(code_id: str) -> ConcatCode:
-    try:
-        outer_name, inner_name, order = _REGISTRY[code_id]
-    except KeyError:
-        valid = ", ".join(_REGISTRY)
-        raise ValueError(f"unknown code id {code_id!r}; valid ids: {valid}") from None
-    return build(stabilizer.builtin(outer_name), stabilizer.builtin(inner_name), order)
+    rec = record(code_id)
+    return build(stabilizer.builtin(rec.outer), stabilizer.builtin(rec.inner), rec.order)

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels, analytic, pauli, stabilizer
+from . import _kernels, analytic, concat, pauli, stabilizer
 from .analytic import Alphabet, NoiseModel
 from .concat import ConcatCode, concatenated
 from .pauli import PauliString
@@ -52,8 +52,8 @@ _LETTER_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
 def default_alphabet(code_id: str) -> Alphabet:
-    """Bit-flip letters for the six-qubit codes, depolarizing for ten."""
-    return Alphabet.BITFLIP if code_id in ("qd6", "dq6") else Alphabet.DEPOLARIZING3
+    """The letter alphabet named by the code's registry record."""
+    return Alphabet(concat.record(code_id).alphabet)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ class SampleConfig:
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.code_id not in ("qd6", "dq6", "qd10", "dq10"):
-            raise ValueError(f"unknown code id {self.code_id!r}")
+        concat.record(self.code_id)  # raises ValueError for an unregistered id
 
 
 @dataclass(frozen=True)

@@ -125,13 +125,19 @@ def suite_dfs() -> list[Check]:
     return checks
 
 
+def _string_sets(groups) -> set[frozenset[str]]:
+    return {frozenset(map(str, group)) for group in groups}
+
+
 def suite_concat() -> list[Check]:
-    checks = []
-    expected_counts = {"qd6": (4, 8), "dq6": (16, 2), "qd10": (16, 32), "dq10": (256, 2)}
-    for cid, (n_sets, per_set) in expected_counts.items():
+    # One list per kind of check; the report lists them kind by kind.
+    counts, generators, equivalence, degeneracy, passive, efficiency = ([] for _ in range(6))
+    for cid in concat.code_ids():
         cc = concat.concatenated(cid)
+        summary = _tables.SUMMARY[cid]
+        n_sets, per_set = summary["sets"]
         sizes = {len(s) for s in cc.equivalence.sets}
-        checks.append(
+        counts.append(
             _check(
                 f"concat.counts-{cid}",
                 len(cc.equivalence.sets) == n_sets and sizes == {per_set},
@@ -139,79 +145,54 @@ def suite_concat() -> list[Check]:
             )
         )
         report = stabilizer.validate(cc.code)
-        checks.append(_check(f"concat.representatives-valid-{cid}", report.valid,
+        counts.append(_check(f"concat.representatives-valid-{cid}", report.valid,
                              "; ".join(report.failures)))
 
-    for cid in ("qd6", "dq6", "qd10", "dq10"):
-        cc = concat.concatenated(cid)
+        # Full representative sets, unless the fixture lists only the
+        # canonical representative and the class size.
         fixture = _tables.GENERATOR_CLASSES[cid]
-        built_passive = {
-            frozenset(map(str, c.representatives)) for c in cc.classes if c.passive
-        }
-        want_passive = {frozenset(reps) for reps in fixture["passive"]}
-        active_canonicals = {str(c.representative) for c in cc.classes if not c.passive}
-        want_active = {reps[0] for reps in fixture["active"]}
-        ok = built_passive == want_passive and active_canonicals == want_active
-        if cid == "qd6":
-            built_active = {
-                frozenset(map(str, c.representatives))
-                for c in cc.classes
-                if not c.passive
-            }
-            ok = ok and built_active == {
-                frozenset(
-                    ["ZZZZII", "-YYZZII", "-ZZYYII", "YYYYII"]
-                ),
-                frozenset(["ZZIIZZ", "-YYIIZZ", "-ZZIIYY", "YYIIYY"]),
-            }
-        checks.append(_check(f"concat.generators-{cid}", ok))
+        multiplicity = fixture.get("active_multiplicity")
+        passive_reps = _string_sets(c.representatives for c in cc.classes if c.passive)
+        ok = passive_reps == _string_sets(fixture["passive"])
+        active = [c.representatives for c in cc.classes if not c.passive]
+        if multiplicity:
+            ok &= {str(reps[0]) for reps in active} == {reps[0] for reps in fixture["active"]}
+            ok &= all(len(reps) == multiplicity for reps in active)
+        else:
+            ok &= _string_sets(active) == _string_sets(fixture["active"])
+        generators.append(_check(f"concat.generators-{cid}", ok))
 
-    for cid, fixture_sets in (("qd6", _tables.EQUIV_SETS_QD6), ("dq6", _tables.EQUIV_SETS_DQ6)):
-        cc = concat.concatenated(cid)
-        built = {frozenset(map(str, s)) for s in cc.equivalence.sets}
-        want = {frozenset(s) for s in fixture_sets}
-        checks.append(_check(f"concat.equivalence-{cid}", built == want))
+        if "equivalence" in summary:
+            ok = _string_sets(cc.equivalence.sets) == _string_sets(summary["equivalence"])
+            equivalence.append(_check(f"concat.equivalence-{cid}", ok))
 
-    # Generator degeneracy: same syndrome bit from every representative.
-    for cid in ("qd6", "qd10"):
-        cc = concat.concatenated(cid)
-        errors = [e for s in cc.equivalence.sets for e in s]
-        ok = True
-        for gclass in cc.classes:
-            for error in errors:
-                bits = {pauli.commutes(rep, error) for rep in gclass.representatives}
-                if len(bits) != 1:
-                    ok = False
-        checks.append(_check(f"concat.generator-degeneracy-{cid}", ok))
+        # Generator degeneracy: same syndrome bit from every representative.
+        if any(len(c.representatives) > 1 for c in cc.classes):
+            errors = [e for s in cc.equivalence.sets for e in s]
+            ok = all(
+                len({pauli.commutes(rep, error) for rep in gclass.representatives}) == 1
+                for gclass in cc.classes
+                for error in errors
+            )
+            degeneracy.append(_check(f"concat.generator-degeneracy-{cid}", ok))
 
-    # Passive errors form exactly one equivalence set, pairwise degenerate.
-    for cid in ("qd6", "dq6", "qd10", "dq10"):
-        cc = concat.concatenated(cid)
-        in_sets = any(
-            set(cc.passive) == set(s) for s in cc.equivalence.sets
-        )
+        # Passive errors form exactly one equivalence set, pairwise degenerate.
+        in_sets = any(set(cc.passive) == set(s) for s in cc.equivalence.sets)
         degenerate = all(
             stabilizer.are_degenerate(cc.code, a, b)
             for a, b in itertools.combinations(cc.passive, 2)
         )
-        checks.append(_check(f"concat.passive-single-set-{cid}", in_sets and degenerate))
+        passive.append(_check(f"concat.passive-single-set-{cid}", in_sets and degenerate))
 
-    effs = {
-        "qd6": ("1", "2/5"),
-        "dq6": ("1", "4/5"),
-        "qd10": ("1", "4/9"),
-        "dq10": ("1", "8/9"),
-    }
-    for cid, (phi_s, phip_s) in effs.items():
-        cc = concat.concatenated(cid)
-        phi, phip = concat.hamming_efficiency(
-            cc.equivalence, cc.spec.n_cc, cc.spec.k_cc
+        phi, phip = concat.hamming_efficiency(cc.equivalence, cc.spec.n_cc, cc.spec.k_cc)
+        efficiency.append(
+            _check(
+                f"concat.efficiency-{cid}",
+                (str(phi), str(phip)) == (summary["phi"], summary["phi_prime"]),
+                f"phi={phi} phi'={phip}",
+            )
         )
-        checks.append(
-            _check(f"concat.efficiency-{cid}", (str(phi), str(phip)) == (phi_s, phip_s),
-                   f"phi={phi} phi'={phip}")
-        )
-    return checks
+    return counts + generators + equivalence + degeneracy + passive + efficiency
 
 
 def suite_codewords(code_filter: Optional[str] = None) -> list[Check]:
@@ -334,12 +315,9 @@ def suite_analytic() -> list[Check]:
                 order_ok = False
     checks.append(_check("analytic.crossover-orderings", order_ok))
 
-    for cid, variant, want, tol in (
-        ("qd6", "literal", 0.1293, 5e-4),
-        ("dq6", "literal", 0.2252, 5e-4),
-        ("qd10", "table", 0.0298, 1e-3),
-        ("dq10", "literal", 0.0579, 1e-3),
-    ):
+    for cid in concat.code_ids():
+        variant = concat.REGISTRY[cid].table_variant
+        want, tol = _tables.SUMMARY[cid]["p_thres"]
         thr = analytic.pseudothreshold(analytic.failure_curve(cid, 0.0, variant))
         checks.append(
             _check(

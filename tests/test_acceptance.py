@@ -22,11 +22,11 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def fresh_build(code_id: str) -> tuple[concat.ConcatCode, float]:
-    outer_name, inner_name, order = concat._REGISTRY[code_id]
-    outer = stabilizer.builtin(outer_name)
-    inner = stabilizer.builtin(inner_name)
+    record = concat.REGISTRY[code_id]
+    outer = stabilizer.builtin(record.outer)
+    inner = stabilizer.builtin(record.inner)
     start = time.perf_counter()
-    cc = concat.build(outer, inner, order)
+    cc = concat.build(outer, inner, record.order)
     return cc, time.perf_counter() - start
 
 

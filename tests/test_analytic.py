@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qdq import analytic
+from qdq import analytic, concat
 from qdq.analytic import Alphabet, NoiseModel
 
 
@@ -198,7 +198,7 @@ def test_entanglement_fidelity():
 
 
 def test_failure_probabilities_bounded_and_monotone():
-    for cid in analytic.CODE_CURVE_IDS:
+    for cid in concat.code_ids():
         pf = analytic.code_failure(cid)
         values = []
         for p in np.arange(0.0, 0.5001, 0.01):

@@ -26,10 +26,11 @@ def test_codes_list_and_describe(capsys):
     assert desc["logical_x"] == ["XI"] and desc["logical_z"] == ["ZZ"]
 
 
-def test_codes_describe_unknown_exits_one(capsys):
-    code = cli.main(["codes", "describe", "nope"])
+def test_codes_describe_unknown_exits_two(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["codes", "describe", "nope"])
     captured = capsys.readouterr()
-    assert code == 1
+    assert err.value.code == 2
     assert "error" in json.loads(captured.err)
 
 
@@ -84,6 +85,17 @@ def test_threshold_depth_four(capsys):
         assert abs(v - 0.2252) < 1e-3
     assert max(values) - min(values) < 1e-6
     assert payload["p_thres"] == values[-1]
+
+
+def test_threshold_depth_four_qd10_table_has_a_root(capsys):
+    # The depth-4 recursion passes inner p ~ 3e-9 to the five-qubit layer,
+    # whose 1 - sum(success terms) rounds to -1.1e-16 there.
+    payload = run_json(
+        capsys, "threshold", "--code", "qd10", "--variant", "table",
+        "--mu", "0.4", "--depth", "4",
+    )
+    assert payload["p_thres"] == pytest.approx(0.469478, abs=1e-6)
+    assert payload["per_depth"]["4"] == payload["p_thres"]
 
 
 def test_threshold_printed_dq10_reports_no_crossing(capsys):
@@ -147,6 +159,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 SWEEP = ("fidelity", "sweep", "--code", "dq6", "--mu", "0")
 MC_RUN = ("mc", "run", "--code", "qd6", "--mu", "0")
+CONCAT_BUILD = ("concat", "build", "--order", "qd")
 
 
 @pytest.mark.parametrize(
@@ -159,9 +172,13 @@ MC_RUN = ("mc", "run", "--code", "qd6", "--mu", "0")
         (("verify", "--suite", "codewords", "--code", "nonexistent"), "--code"),
         (MC_RUN + ("--p", "1.5"), "--p"),
         (MC_RUN + ("--p", "0.1", "--shots", "many"), "--shots"),
+        (CONCAT_BUILD + ("--outer", "nope", "--inner", "dfs-2"), "--outer"),
+        (CONCAT_BUILD + ("--outer", "dfs-2", "--inner", "nope"), "--inner"),
+        (("dfs", "build", "--character", "7"), "--character"),
     ],
     ids=["step-zero", "step-negative", "pmin-above-pmax", "depth-zero",
-         "verify-unknown-code", "p-above-one", "shots-not-integer"],
+         "verify-unknown-code", "p-above-one", "shots-not-integer",
+         "concat-unknown-outer", "concat-unknown-inner", "dfs-character-out-of-range"],
 )
 def test_bad_flag_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

@@ -1,0 +1,60 @@
+"""Property tests: invariants checked on drawn inputs, not spot values."""
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from qdq import analytic, concat, mc, pauli
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@pytest.mark.parametrize("variant", analytic.VARIANTS)
+@pytest.mark.parametrize("code_id", concat.code_ids())
+@given(p=unit, mu=unit)
+@example(p=0.001, mu=0.4)  # qd10/table at depth 4 once raised on a -1.1e-16 layer
+def test_depth_recursion_stays_a_probability(code_id, variant, p, mu):
+    curve = analytic.failure_curve(code_id, mu, variant)
+    for depth in (1, 2, 3, 4):
+        value = analytic.depth_recursion(curve, depth)(p)
+        assert 0.0 <= value <= 1.0, (depth, value)
+
+
+@pytest.mark.parametrize("code_id", concat.code_ids())
+@given(data=st.data())
+def test_decode_is_invariant_under_stabilizer_elements(code_id, data):
+    ccode = concat.concatenated(code_id)
+    n = ccode.spec.n_cc
+    # Low-weight errors, so both decode outcomes occur.
+    letters = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from("XYZ")), max_size=3)
+    )
+    error = pauli.identity(n)
+    for q, letter in letters:
+        error = pauli.multiply(error, pauli.single(n, q, letter))
+    gens = ccode.code.generators
+    subset = data.draw(st.integers(min_value=0, max_value=(1 << len(gens)) - 1))
+    element = pauli.identity(n)
+    for i, g in enumerate(gens):
+        if (subset >> i) & 1:
+            element = pauli.multiply(element, g)
+    shifted = pauli.multiply(element, error)
+    assert mc.decode_shot(ccode, shifted) == mc.decode_shot(ccode, error)
+
+
+GRID_STEP = 1e-3
+
+
+@given(
+    root=st.floats(min_value=2 * GRID_STEP, max_value=0.45),
+    slope=st.floats(min_value=0.01, max_value=10.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_pseudothreshold_finds_a_known_root(root, slope, sign):
+    c = sign * slope
+
+    def curve(p):
+        return p + c * (p - root) * (1.0 - p)
+
+    got = analytic.pseudothreshold(curve, grid_step=GRID_STEP)
+    assert got is not None and abs(got - root) <= 1e-8
