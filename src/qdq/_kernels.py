@@ -18,11 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def active_backend() -> str:
-    """Name of the only kernel, kept for run metadata."""
-    return "numpy"
-
-
 def count_failures(
     uniforms: np.ndarray,
     block_starts: np.ndarray,

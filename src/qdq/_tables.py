@@ -1,8 +1,10 @@
 """Hand-entered reference tables the construction code must reproduce.
 
 These are fixtures, not inputs: the builders derive everything from the
-base codes, and the verify suites / tests compare against the expansions
-below (set equality, ordering-free).
+base codes, and the :mod:`qdq.verify` suites compare against the expansions
+below (set equality, ordering-free).  Per-code entries are keyed by code id;
+a registered id with no entry fails its suite's ``fixture-<id>`` check.  The
+threshold tolerances are pinned in ``SUMMARY``, not in the test files.
 """
 
 from __future__ import annotations
@@ -123,6 +125,25 @@ FIVE_QUBIT_ONE_TERMS = [
 ]
 
 FIVE_QUBIT_ONE_SIGN_ERRATUM = ("11010", -1)
+
+# --------------------------------------------------------------------------
+# Logical |0>, |1> of the base codes as (bitstring, coefficient) terms, and
+# each concatenated code's codewords as (outer terms, inner terms): bit b of
+# an outer term becomes the inner code's |b>.  DFS2_MINUS_TERMS spans the
+# other character of the collective group {II, XX}.
+# --------------------------------------------------------------------------
+
+REP3_TERMS = ([("000", 1)], [("111", 1)])
+DFS2_TERMS = ([("00", 1), ("11", 1)], [("01", 1), ("10", 1)])
+DFS2_MINUS_TERMS = ([("00", 1), ("11", -1)], [("01", 1), ("10", -1)])
+FIVE_QUBIT_TERMS = (FIVE_QUBIT_ZERO_TERMS, FIVE_QUBIT_ONE_TERMS)
+
+CODEWORDS = {
+    "qd6": (REP3_TERMS, DFS2_TERMS),
+    "dq6": (DFS2_TERMS, REP3_TERMS),
+    "qd10": (FIVE_QUBIT_TERMS, DFS2_TERMS),
+    "dq10": (DFS2_TERMS, FIVE_QUBIT_TERMS),
+}
 
 # --------------------------------------------------------------------------
 # Summary of each concatenated code: equivalence-set count and set size,

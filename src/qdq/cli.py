@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 internal check failure, 2 usage error.  Flags are
 checked at parse time, or by the handler before any work when the check
 needs other input, and a usage error exits 2 with one JSON object on
 stderr.  All output is CSV or JSON on stdout (or --out); CSV bytes are
-deterministic for fixed flags.  Code ids, curve variants and the variant
+deterministic for fixed flags.  A ``fidelity sweep`` of more than
+``MAX_SWEEP_ROWS`` (1,000,000) rows, counted as (pmax - pmin) / step + 1,
+is a usage error.  Code ids, curve variants and the variant
 ``table1`` reports come from :data:`qdq.concat.REGISTRY`.
 """
 
@@ -18,6 +20,10 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import analytic, concat, dfs, mc, stabilizer, verify
 from .analytic import Alphabet, NoiseModel
+
+
+# Most rows one ``fidelity sweep`` may emit: (pmax - pmin) / step + 1.
+MAX_SWEEP_ROWS = 1_000_000
 
 
 class _UsageError(ValueError):
@@ -95,7 +101,10 @@ def _cmd_concat(args: argparse.Namespace) -> int:
 
 
 def _cmd_dfs(args: argparse.Namespace) -> int:
-    group = dfs.AbelianErrorGroup.from_strings(args.elements.split(","))
+    try:
+        group = dfs.AbelianErrorGroup.from_strings(args.elements.split(","))
+    except ValueError as exc:
+        raise _UsageError(f"--elements {args.elements}: {exc}") from None
     chars = dfs.characters(group)
     if args.character is not None and not 0 <= args.character < len(chars):
         raise _UsageError(f"--character {args.character} outside [0, {len(chars)})")
@@ -122,8 +131,13 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     if args.pmin > args.pmax:
         raise _UsageError(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
+    span = (args.pmax - args.pmin) / args.step
+    if span + 1 > MAX_SWEEP_ROWS:
+        raise _UsageError(
+            f"--step {args.step} asks for {span + 1:.0f} rows; the cap is {MAX_SWEEP_ROWS}"
+        )
     pf = analytic.code_failure(args.code, args.variant)
-    steps = int(round((args.pmax - args.pmin) / args.step))
+    steps = int(round(span))
     lines = ["p,mu,pf,fe"]
     for i in range(steps + 1):
         p = args.pmin + i * args.step
@@ -171,7 +185,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "analytic": report.analytic,
         "z": report.z,
-        "backend": report.estimate.backend,
     }
     _emit_json(payload, args.out)
     return 0

@@ -76,7 +76,6 @@ class MCEstimate:
     shots: int
     seed: int
     failures: int
-    backend: str
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,6 @@ def estimate_pf(config: SampleConfig) -> MCEstimate:
         shots=config.shots,
         seed=config.seed,
         failures=failures,
-        backend=_kernels.active_backend(),
     )
 
 
@@ -256,7 +254,7 @@ def estimate_pf_reference(config: SampleConfig) -> MCEstimate:
         failures += decode_shot(ccode, error)
     pf_hat = failures / config.shots
     stderr = math.sqrt(pf_hat * (1.0 - pf_hat) / config.shots)
-    return MCEstimate(pf_hat, stderr, config.shots, config.seed, failures, "reference")
+    return MCEstimate(pf_hat, stderr, config.shots, config.seed, failures)
 
 
 def compare(

@@ -1,14 +1,20 @@
 """Self-check suites behind the ``verify`` CLI subcommand.
 
 Each suite returns (name, ok, detail) tuples; the CLI prints one line per
-check and exits nonzero when any fails.  These are runtime re-checks of the
-same contracts the test suite pins, so a packaged install can be validated
-without pytest.
+check and exits nonzero when any fails.  This module is the one statement of
+each acceptance contract: ``tests/test_acceptance.py`` only selects these
+checks by name and times them, so a packaged install can be validated
+without pytest.  Expected per-code values live in :mod:`qdq._tables`, with
+the threshold tolerances pinned in ``_tables.SUMMARY``; every other
+tolerance is stated once, at its check below.  The suites that cover several
+codes loop over :func:`qdq.concat.code_ids`, and a registered id with no
+fixture gives one failed ``<suite>.fixture-<id>`` check.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -22,6 +28,14 @@ Check = tuple[str, bool, str]
 
 def _check(name: str, ok: bool, detail: str = "") -> Check:
     return (name, bool(ok), detail)
+
+
+def _missing_fixture(suite: str, cid: str, *tables: str) -> list[Check]:
+    """One failed ``<suite>.fixture-<cid>`` check if a named table lacks cid."""
+    absent = [f"_tables.{t}" for t in tables if cid not in getattr(_tables, t)]
+    if not absent:
+        return []
+    return [_check(f"{suite}.fixture-{cid}", False, f"no entry in {', '.join(absent)}")]
 
 
 # ---------------------------------------------------------------------------
@@ -83,40 +97,37 @@ def suite_stabilizer() -> list[Check]:
 
 
 def suite_dfs() -> list[Check]:
-    checks = []
     group = dfs.AbelianErrorGroup.from_strings(["II", "XX"])
-    plus, minus = dfs.characters(group)
-    proj_plus = dfs.projector(group, plus)
-    proj_minus = dfs.projector(group, minus)
-    checks.append(
+    characters = dfs.characters(group)  # plus, then minus
+    projectors = [dfs.projector(group, chi) for chi in characters]
+    checks = [
         _check(
             "dfs.projector-idempotent",
-            np.allclose(proj_plus @ proj_plus, proj_plus, atol=1e-12),
-        )
-    )
-    checks.append(
+            all(np.allclose(proj @ proj, proj, atol=1e-12) for proj in projectors),
+        ),
         _check(
             "dfs.projectors-resolve-identity",
-            np.allclose(proj_plus + proj_minus, np.eye(4), atol=1e-12),
+            np.allclose(sum(projectors), np.eye(4), atol=1e-12),
+        ),
+    ]
+    for label, chi, terms in zip(
+        ("plus", "minus"), characters, (_tables.DFS2_TERMS, _tables.DFS2_MINUS_TERMS)
+    ):
+        basis = dfs.df_basis(group, chi)
+        span_ok = len(basis) == len(terms) and all(
+            statevec.states_equal_up_to_phase(got, statevec.state_from_terms(2, want))
+            for got, want in zip(basis, terms)
         )
-    )
-    basis = dfs.df_basis(group, plus)
-    b00 = statevec.state_from_terms(2, [("00", 1), ("11", 1)])
-    b01 = statevec.state_from_terms(2, [("01", 1), ("10", 1)])
-    span_ok = (
-        len(basis) == 2
-        and statevec.states_equal_up_to_phase(basis[0], b00)
-        and statevec.states_equal_up_to_phase(basis[1], b01)
-    )
-    checks.append(_check("dfs.plus-basis-span", span_ok))
-    cross = (b00 + statevec.state_from_terms(2, [("00", 1), ("11", -1)])) / np.sqrt(2)
+        checks.append(_check(f"dfs.{label}-basis-span", span_ok))
+    # |00> is an equal superposition of one vector from each irrep.
+    cross = statevec.basis_state(2, 0b00)
     checks.append(
         _check(
             "dfs.cross-irrep-not-invariant",
-            not statevec.dfs_invariance(cross, group, plus),
+            not any(statevec.dfs_invariance(cross, group, chi) for chi in characters),
         )
     )
-    code = dfs.as_stabilizer_code(group, plus)
+    code = dfs.as_stabilizer_code(group, characters[0])
     same = (
         code.generators == stabilizer.builtin("dfs-2").generators
         and code.passive_mask == (True,)
@@ -131,8 +142,14 @@ def _string_sets(groups) -> set[frozenset[str]]:
 
 def suite_concat() -> list[Check]:
     # One list per kind of check; the report lists them kind by kind.
-    counts, generators, equivalence, degeneracy, passive, efficiency = ([] for _ in range(6))
+    fixtures, counts, generators, equivalence, degeneracy, passive, efficiency = (
+        [] for _ in range(7)
+    )
     for cid in concat.code_ids():
+        missing = _missing_fixture("concat", cid, "SUMMARY", "GENERATOR_CLASSES")
+        fixtures += missing
+        if missing:
+            continue
         cc = concat.concatenated(cid)
         summary = _tables.SUMMARY[cid]
         n_sets, per_set = summary["sets"]
@@ -140,7 +157,9 @@ def suite_concat() -> list[Check]:
         counts.append(
             _check(
                 f"concat.counts-{cid}",
-                len(cc.equivalence.sets) == n_sets and sizes == {per_set},
+                len(cc.equivalence.sets) == n_sets
+                and sizes == {per_set}
+                and cc.equivalence.total_elements == n_sets * per_set,
                 f"got {len(cc.equivalence.sets)} sets, sizes {sizes}",
             )
         )
@@ -148,18 +167,21 @@ def suite_concat() -> list[Check]:
         counts.append(_check(f"concat.representatives-valid-{cid}", report.valid,
                              "; ".join(report.failures)))
 
+        fixture = _tables.GENERATOR_CLASSES[cid]
+        passive_reps = [c.representatives for c in cc.classes if c.passive]
+        active = [c.representatives for c in cc.classes if not c.passive]
+        ok = len(passive_reps) == len(fixture["passive"])
+        ok &= len(active) == len(fixture["active"])
+        ok &= _string_sets(passive_reps) == _string_sets(fixture["passive"])
+        ok &= {str(reps[0]) for reps in active} == {reps[0] for reps in fixture["active"]}
         # Full representative sets, unless the fixture lists only the
         # canonical representative and the class size.
-        fixture = _tables.GENERATOR_CLASSES[cid]
         multiplicity = fixture.get("active_multiplicity")
-        passive_reps = _string_sets(c.representatives for c in cc.classes if c.passive)
-        ok = passive_reps == _string_sets(fixture["passive"])
-        active = [c.representatives for c in cc.classes if not c.passive]
         if multiplicity:
-            ok &= {str(reps[0]) for reps in active} == {reps[0] for reps in fixture["active"]}
             ok &= all(len(reps) == multiplicity for reps in active)
         else:
             ok &= _string_sets(active) == _string_sets(fixture["active"])
+            ok &= sorted(map(len, active)) == sorted(map(len, fixture["active"]))
         generators.append(_check(f"concat.generators-{cid}", ok))
 
         if "equivalence" in summary:
@@ -188,50 +210,52 @@ def suite_concat() -> list[Check]:
         efficiency.append(
             _check(
                 f"concat.efficiency-{cid}",
-                (str(phi), str(phip)) == (summary["phi"], summary["phi_prime"]),
+                isinstance(phi, Fraction)
+                and isinstance(phip, Fraction)
+                and (str(phi), str(phip)) == (summary["phi"], summary["phi_prime"]),
                 f"phi={phi} phi'={phip}",
             )
         )
-    return counts + generators + equivalence + degeneracy + passive + efficiency
+    return fixtures + counts + generators + equivalence + degeneracy + passive + efficiency
 
 
 def suite_codewords(code_filter: Optional[str] = None) -> list[Check]:
     checks = []
-    pair0 = statevec.state_from_terms(2, [("00", 1), ("11", 1)])
-    pair1 = statevec.state_from_terms(2, [("01", 1), ("10", 1)])
-    expectations = {
-        "qd6": (
-            _kron(pair0, pair0, pair0),
-            _kron(pair1, pair1, pair1),
-        ),
-        "dq6": (
-            statevec.state_from_terms(6, [("000000", 1), ("111111", 1)]),
-            statevec.state_from_terms(6, [("000111", 1), ("111000", 1)]),
-        ),
-        "qd10": _expected_qd10(),
-        "dq10": _expected_dq10(),
-    }
-    for cid, (want0, want1) in expectations.items():
-        if code_filter and cid != code_filter:
+    for cid in [code_filter] if code_filter else concat.code_ids():
+        missing = _missing_fixture("codewords", cid, "CODEWORDS")
+        checks += missing
+        if missing:
             continue
+        outer, inner = _tables.CODEWORDS[cid]
+        want0, want1 = (_concatenated_state(terms, inner) for terms in outer)
         got0, got1 = statevec.codewords(cid)
-        ok0 = statevec.states_equal_up_to_phase(got0, want0)
-        ok1 = statevec.states_equal_up_to_phase(got1, want1)
+        ok0 = statevec.states_equal_up_to_phase(got0, want0, tol=1e-10)
+        ok1 = statevec.states_equal_up_to_phase(got1, want1, tol=1e-10)
         detail = ""
         if not (ok0 and ok1):
             bad = got0 - want0 if not ok0 else got1 - want1
             detail = f"first failing amplitude index {int(np.argmax(np.abs(bad)))}"
         checks.append(_check(f"codewords.expansion-{cid}", ok0 and ok1, detail))
 
-        cc = concat.concatenated(cid)
-        ok = True
-        for gclass in cc.classes:
-            for rep in gclass.representatives:
-                for w in (got0, got1):
-                    if abs(statevec.expectation(w, rep) - 1.0) > 1e-9:
-                        ok = False
+        ok = all(
+            abs(statevec.expectation(w, rep) - 1.0) < 1e-9
+            for gclass in concat.concatenated(cid).classes
+            for rep in gclass.representatives
+            for w in (got0, got1)
+        )
         checks.append(_check(f"codewords.generator-eigenvalues-{cid}", ok))
     return checks
+
+
+def _concatenated_state(outer_terms, inner_terms) -> np.ndarray:
+    """Normalized sum over outer terms of coefficient times the tensor product
+    of the inner codewords that the term's bits select."""
+    n_inner = len(inner_terms[0][0][0])
+    inner = [statevec.state_from_terms(n_inner, terms) for terms in inner_terms]
+    total = sum(
+        coeff * _kron(*(inner[int(b)] for b in bits)) for bits, coeff in outer_terms
+    )
+    return total / np.linalg.norm(total)
 
 
 def _kron(*states: np.ndarray) -> np.ndarray:
@@ -241,36 +265,14 @@ def _kron(*states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expected_qd10() -> tuple[np.ndarray, np.ndarray]:
-    pair = {
-        "0": statevec.state_from_terms(2, [("00", 1), ("11", 1)]),
-        "1": statevec.state_from_terms(2, [("01", 1), ("10", 1)]),
-    }
-
-    def build(terms):
-        total = np.zeros(1 << 10, dtype=np.complex128)
-        for bits, sign in terms:
-            total += sign * _kron(*(pair[b] for b in bits))
-        return total / np.linalg.norm(total)
-
-    return build(_tables.FIVE_QUBIT_ZERO_TERMS), build(_tables.FIVE_QUBIT_ONE_TERMS)
-
-
-def _expected_dq10() -> tuple[np.ndarray, np.ndarray]:
-    w0 = statevec.state_from_terms(5, _tables.FIVE_QUBIT_ZERO_TERMS)
-    w1 = statevec.state_from_terms(5, _tables.FIVE_QUBIT_ONE_TERMS)
-    zero = (np.kron(w0, w0) + np.kron(w1, w1)) / np.sqrt(2)
-    one = (np.kron(w0, w1) + np.kron(w1, w0)) / np.sqrt(2)
-    return zero, one
-
-
 def suite_kl() -> list[Check]:
     checks = []
     kl5 = statevec.codewords("knill-laflamme-5")
     errors = [pauli.identity(5)] + [
         pauli.single(5, q, letter) for letter in "XYZ" for q in range(5)
     ]
-    checks.append(_check("kl.five-qubit-all-single-errors", bool(statevec.kl_check(kl5, errors))))
+    checks.append(_check("kl.five-qubit-all-single-errors",
+                         len(errors) == 16 and bool(statevec.kl_check(kl5, errors))))
 
     rep3 = statevec.codewords("repetition-3")
     flips = [pauli.identity(3)] + [pauli.single(3, q, "X") for q in range(3)]
@@ -285,11 +287,11 @@ def suite_kl() -> list[Check]:
 
 def suite_analytic() -> list[Check]:
     checks = []
-    ps = np.linspace(0.0, 1.0, 11)
+    # Exact equality pins the closed forms against a transcription typo.
     rep3_ok = all(
-        abs(analytic.standalone_pf("rep3", 0.0, p) - (3 * p**2 - 2 * p**3)) < 1e-12
-        and abs(analytic.standalone_pf("rep3", 1.0, p) - p) < 1e-12
-        for p in ps
+        analytic.standalone_pf("rep3", 0.0, p) == 3 * p**2 - 2 * p**3
+        and analytic.standalone_pf("rep3", 1.0, p) == p
+        for p in map(float, np.linspace(0.0, 1.0, 101))
     )
     checks.append(_check("analytic.rep3-limits", rep3_ok))
 
@@ -315,10 +317,16 @@ def suite_analytic() -> list[Check]:
                 order_ok = False
     checks.append(_check("analytic.crossover-orderings", order_ok))
 
+    depth = []
     for cid in concat.code_ids():
+        missing = _missing_fixture("analytic", cid, "SUMMARY")
+        checks += missing
+        if missing:
+            continue
         variant = concat.REGISTRY[cid].table_variant
         want, tol = _tables.SUMMARY[cid]["p_thres"]
-        thr = analytic.pseudothreshold(analytic.failure_curve(cid, 0.0, variant))
+        curve = analytic.failure_curve(cid, 0.0, variant)
+        thr = analytic.pseudothreshold(curve)
         checks.append(
             _check(
                 f"analytic.threshold-{cid}-{variant}",
@@ -326,9 +334,18 @@ def suite_analytic() -> list[Check]:
                 f"got {thr}",
             )
         )
+        if cid == "dq6":
+            # A fixed point of the curve is one of every self-concatenation.
+            roots = [
+                analytic.pseudothreshold(analytic.depth_recursion(curve, d))
+                for d in (1, 2, 3, 4)
+            ]
+            ok = None not in roots and max(roots) - min(roots) < 1e-6
+            ok = ok and all(abs(r - want) <= tol for r in roots)
+            depth.append(_check(f"analytic.depth-invariance-{cid}", ok, f"roots {roots}"))
     printed = analytic.pseudothreshold(analytic.failure_curve("dq10", 0.0, "printed"))
     checks.append(_check("analytic.dq10-printed-no-crossing", printed is None))
-    return checks
+    return checks + depth
 
 
 def suite_mc(shots: int = 100_000, seed: int = 2024) -> list[Check]:
@@ -361,16 +378,11 @@ def run_suites(
     code_filter: Optional[str] = None,
     mc_shots: int = 100_000,
 ) -> list[Check]:
-    selected = list(names) if names else list(SUITES)
+    options = {"codewords": {"code_filter": code_filter}, "mc": {"shots": mc_shots}}
     results: list[Check] = []
-    for name in selected:
+    for name in list(names) if names else list(SUITES):
         if name not in SUITES:
             valid = ", ".join(SUITES)
             raise ValueError(f"unknown suite {name!r}; valid: {valid}")
-        if name == "codewords":
-            results.extend(suite_codewords(code_filter))
-        elif name == "mc":
-            results.extend(suite_mc(shots=mc_shots))
-        else:
-            results.extend(SUITES[name]())
+        results.extend(SUITES[name](**options.get(name, {})))
     return results

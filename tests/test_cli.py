@@ -126,7 +126,6 @@ def test_mc_run_smoke(capsys):
         assert key in payload
     assert payload["shots"] == 20000 and payload["seed"] == 5
     assert payload["alphabet"] == "bitflip"
-    assert payload["backend"] == "numpy"
     assert payload["z"] <= 6.0
 
 
@@ -175,10 +174,15 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
         (CONCAT_BUILD + ("--outer", "nope", "--inner", "dfs-2"), "--outer"),
         (CONCAT_BUILD + ("--outer", "dfs-2", "--inner", "nope"), "--inner"),
         (("dfs", "build", "--character", "7"), "--character"),
+        (("dfs", "build", "--elements", "QQ"), "--elements"),
+        (("dfs", "build", "--elements", "XX,ZZ,XY"), "--elements"),
+        # Checked before any curve is evaluated, so no large sweep starts.
+        (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "1e-9"), "--step"),
     ],
     ids=["step-zero", "step-negative", "pmin-above-pmax", "depth-zero",
          "verify-unknown-code", "p-above-one", "shots-not-integer",
-         "concat-unknown-outer", "concat-unknown-inner", "dfs-character-out-of-range"],
+         "concat-unknown-outer", "concat-unknown-inner", "dfs-character-out-of-range",
+         "dfs-elements-bad-letter", "dfs-elements-no-identity", "sweep-rows-over-cap"],
 )
 def test_bad_flag_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

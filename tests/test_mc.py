@@ -83,7 +83,6 @@ def test_single_noiseless_shot_does_not_fail(code_id, alphabet):
     est = mc.estimate_pf(cfg(code_id=code_id, p=0.0, mu=0.0, shots=1, seed=0,
                              alphabet=alphabet))
     assert (est.failures, est.pf_hat, est.stderr, est.shots) == (0, 0.0, 0.0, 1)
-    assert est.backend == "numpy"
 
 
 @pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])

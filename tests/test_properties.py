@@ -1,5 +1,7 @@
 """Property tests: invariants checked on drawn inputs, not spot values."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -58,3 +60,43 @@ def test_pseudothreshold_finds_a_known_root(root, slope, sign):
 
     got = analytic.pseudothreshold(curve, grid_step=GRID_STEP)
     assert got is not None and abs(got - root) <= 1e-8
+
+
+def pauli_strings(n):
+    bits = st.integers(min_value=0, max_value=(1 << n) - 1)
+    return st.builds(pauli.PauliString, st.just(n), bits, bits, st.integers(0, 3))
+
+
+def same_length(count):
+    return st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(*[pauli_strings(n)] * count)
+    )
+
+
+@given(same_length(3))
+def test_multiply_is_associative(triple):
+    a, b, c = triple
+    left = pauli.multiply(pauli.multiply(a, b), c)
+    assert left == pauli.multiply(a, pauli.multiply(b, c))
+
+
+@given(same_length(1))
+def test_square_is_phase_only(single):
+    (p,) = single
+    square = pauli.multiply(p, p)
+    assert (square.x, square.z) == (0, 0)
+
+
+@given(same_length(2), st.integers(0, 3))
+def test_commutes_is_symmetric_and_ignores_phase(pair, phase):
+    a, b = pair
+    assert pauli.commutes(a, b) == pauli.commutes(b, a)
+    assert pauli.commutes(replace(a, phase=phase), b) == pauli.commutes(a, b)
+
+
+@given(same_length(2))
+def test_products_commute_up_to_the_sign_commutes_sets(pair):
+    a, b = pair
+    ab, ba = pauli.multiply(a, b), pauli.multiply(b, a)
+    assert (ab.x, ab.z) == (ba.x, ba.z)
+    assert (ab.phase - ba.phase) % 4 == (0 if pauli.commutes(a, b) else 2)

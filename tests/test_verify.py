@@ -1,0 +1,62 @@
+"""Guards on ``qdq.verify`` itself: a wrong fixture fails exactly the check
+that reads it, a missing fixture is a failed check, and names are unique."""
+
+import json
+
+import pytest
+
+from qdq import _tables, cli, concat, verify
+
+
+def _threshold_checks(cid):
+    names = {f"analytic.threshold-{cid}-{concat.REGISTRY[cid].table_variant}"}
+    if cid == "dq6":
+        names.add("analytic.depth-invariance-dq6")
+    return names
+
+
+# field: (fixture table, entry -> entry with that field wrong, cid -> failing checks)
+WRONG = {
+    "sets": ("SUMMARY", lambda e: {**e, "sets": (e["sets"][0] + 1, e["sets"][1])},
+             lambda cid: {f"concat.counts-{cid}"}),
+    "phi": ("SUMMARY", lambda e: {**e, "phi": "1/2"},
+            lambda cid: {f"concat.efficiency-{cid}"}),
+    "phi_prime": ("SUMMARY", lambda e: {**e, "phi_prime": "1/3"},
+                  lambda cid: {f"concat.efficiency-{cid}"}),
+    "p_thres": ("SUMMARY", lambda e: {**e, "p_thres": (e["p_thres"][0] + 0.01, e["p_thres"][1])},
+                _threshold_checks),
+    "generator_classes": ("GENERATOR_CLASSES", lambda e: {**e, "passive": e["passive"][:-1]},
+                          lambda cid: {f"concat.generators-{cid}"}),
+    "codewords": ("CODEWORDS", lambda e: (e[0][::-1], e[1]),
+                  lambda cid: {f"codewords.expansion-{cid}"}),
+}
+
+# The mc suite reads no fixture.
+FIXTURE_READERS = [name for name in verify.SUITES if name != "mc"]
+
+
+@pytest.mark.parametrize("field", WRONG)
+@pytest.mark.parametrize("cid", concat.code_ids())
+def test_a_wrong_fixture_fails_exactly_its_check(monkeypatch, cid, field):
+    table, corrupt, expected = WRONG[field]
+    fixtures = getattr(_tables, table)
+    monkeypatch.setitem(fixtures, cid, corrupt(fixtures[cid]))
+    failed = {name for name, ok, _ in verify.run_suites(FIXTURE_READERS) if not ok}
+    assert failed == expected(cid)
+
+
+def test_a_registered_id_without_fixtures_fails_its_fixture_checks(monkeypatch, capsys):
+    monkeypatch.setitem(concat.REGISTRY, "qd6x", concat.REGISTRY["qd6"])
+    assert cli.main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["failed"] == [
+        "concat.fixture-qd6x", "codewords.fixture-qd6x", "analytic.fixture-qd6x"
+    ]
+
+
+def test_check_names_are_unique_and_all_pass():
+    checks = verify.run_suites()
+    names = [name for name, _, _ in checks]
+    assert len(names) == len(set(names))
+    assert [name for name, ok, _ in checks if not ok] == []
