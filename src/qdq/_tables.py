@@ -2,9 +2,11 @@
 
 These are fixtures, not inputs: the builders derive everything from the
 base codes, and the :mod:`qdq.verify` suites compare against the expansions
-below (set equality, ordering-free).  Per-code entries are keyed by code id;
-a registered id with no entry fails its suite's ``fixture-<id>`` check.  The
-threshold tolerances are pinned in ``SUMMARY``, not in the test files.
+below (set equality, ordering-free).  Per-code entries are keyed by code id,
+except ``CODEWORDS``, which is keyed by base-code name; a registered id with
+no entry (or whose outer or inner code has none) fails its suite's
+``fixture-<id>`` check.  The threshold tolerances are pinned in ``SUMMARY``,
+not in the test files.
 """
 
 from __future__ import annotations
@@ -127,10 +129,11 @@ FIVE_QUBIT_ONE_TERMS = [
 FIVE_QUBIT_ONE_SIGN_ERRATUM = ("11010", -1)
 
 # --------------------------------------------------------------------------
-# Logical |0>, |1> of the base codes as (bitstring, coefficient) terms, and
-# each concatenated code's codewords as (outer terms, inner terms): bit b of
-# an outer term becomes the inner code's |b>.  DFS2_MINUS_TERMS spans the
-# other character of the collective group {II, XX}.
+# Logical |0>, |1> of each base code as (bitstring, coefficient) terms, keyed
+# by base-code name.  A concatenation's expected codewords are composed from
+# its record's outer and inner entries: bit b of an outer term becomes the
+# inner code's |b>.  DFS2_MINUS_TERMS spans the other character of the
+# collective group {II, XX}.
 # --------------------------------------------------------------------------
 
 REP3_TERMS = ([("000", 1)], [("111", 1)])
@@ -139,10 +142,9 @@ DFS2_MINUS_TERMS = ([("00", 1), ("11", -1)], [("01", 1), ("10", -1)])
 FIVE_QUBIT_TERMS = (FIVE_QUBIT_ZERO_TERMS, FIVE_QUBIT_ONE_TERMS)
 
 CODEWORDS = {
-    "qd6": (REP3_TERMS, DFS2_TERMS),
-    "dq6": (DFS2_TERMS, REP3_TERMS),
-    "qd10": (FIVE_QUBIT_TERMS, DFS2_TERMS),
-    "dq10": (DFS2_TERMS, FIVE_QUBIT_TERMS),
+    "repetition-3": REP3_TERMS,
+    "dfs-2": DFS2_TERMS,
+    "knill-laflamme-5": FIVE_QUBIT_TERMS,
 }
 
 # --------------------------------------------------------------------------

@@ -116,11 +116,7 @@ _STANDALONE = {
 
 
 def standalone_pf(code_id: str, mu: float, p: float) -> float:
-    try:
-        fn = _STANDALONE[code_id]
-    except KeyError:
-        valid = ", ".join(_STANDALONE)
-        raise ValueError(f"unknown formula {code_id!r}; valid: {valid}") from None
+    fn = formula(code_id)
     _check_unit("p", p)
     _check_unit("mu", mu)
     return fn(mu, p)

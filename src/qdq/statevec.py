@@ -1,10 +1,10 @@
 """Dense statevector engine for desk-scale codeword verification (n <= 12).
 
 Basis convention: qubit 0 is the most significant index bit, so the ket
-|000111> is amplitude index 0b000111.  Circuits are plain H/CNOT gate lists;
-everything else (five-qubit codewords, ten-qubit concatenated codewords) is
-constructed directly from stabilizer data, with the printed-state fixtures
-exercised by the test suite.
+|000111> is amplitude index 0b000111.  Codewords of every code, base or
+concatenated, come from one stabilizer projection (:func:`codewords`); the
+hand-entered expansions in :mod:`qdq._tables` are the independent reference
+they are checked against.
 """
 
 from __future__ import annotations
@@ -14,25 +14,18 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import pauli
 from .pauli import PauliString
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle with dfs
     from .dfs import AbelianErrorGroup, Character
+    from .stabilizer import StabilizerCode
 
 MAX_QUBITS = 12
 
 
 # ---------------------------------------------------------------------------
-# States and circuits
+# States
 # ---------------------------------------------------------------------------
-
-
-def zero_state(n: int) -> np.ndarray:
-    _check_size(n)
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[0] = 1.0
-    return state
 
 
 def basis_state(n: int, index: int) -> np.ndarray:
@@ -47,62 +40,6 @@ def basis_state(n: int, index: int) -> np.ndarray:
 def _check_size(n: int) -> None:
     if n > MAX_QUBITS:
         raise ValueError(f"dense engine capped at {MAX_QUBITS} qubits, got {n}")
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered list of ("h", target) and ("cx", control, target) gates."""
-
-    n: int
-    gates: tuple[tuple, ...]
-
-    def __post_init__(self) -> None:
-        for gate in self.gates:
-            kind = gate[0]
-            if kind == "h":
-                (_, t) = gate
-                idx = (t,)
-            elif kind == "cx":
-                (_, c, t) = gate
-                if c == t:
-                    raise ValueError(f"cx control equals target in {gate}")
-                idx = (c, t)
-            else:
-                raise ValueError(f"unknown gate {gate!r}")
-            for q in idx:
-                if not 0 <= q < self.n:
-                    raise ValueError(f"gate {gate!r} out of range for n={self.n}")
-
-
-def h(target: int) -> tuple:
-    return ("h", target)
-
-
-def cx(control: int, target: int) -> tuple:
-    return ("cx", control, target)
-
-
-def apply(state: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Exact unitary action of the gate list, norm preserving."""
-    n = circuit.n
-    if state.shape != (1 << n,):
-        raise ValueError(f"state dimension {state.shape} does not match n={n}")
-    amps = state.astype(np.complex128).reshape((2,) * n)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for gate in circuit.gates:
-        if gate[0] == "h":
-            q = gate[1]
-            moved = np.moveaxis(amps, q, 0)
-            a0 = moved[0].copy()
-            moved[0] = (a0 + moved[1]) * inv_sqrt2
-            moved[1] = (a0 - moved[1]) * inv_sqrt2
-        else:
-            _, c, t = gate
-            moved = np.moveaxis(amps, (c, t), (0, 1))
-            swap = moved[1, 1].copy()
-            moved[1, 1] = moved[1, 0]
-            moved[1, 0] = swap
-    return amps.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,29 +58,23 @@ def _index_masks(p: PauliString) -> tuple[int, int]:
 
 
 def apply_pauli(p: PauliString, state: np.ndarray) -> np.ndarray:
-    """P|state>, using bit-indexed application rather than dense matrices."""
-    if state.shape != (1 << p.n,):
+    """P acting along axis 0: P|state> for a vector, P @ state for a matrix.
+
+    Bit-indexed application, never a dense matrix product.
+    """
+    if state.shape[:1] != (1 << p.n,):
         raise ValueError(f"state dimension {state.shape} does not match n={p.n}")
     xm, zm = _index_masks(p)
-    idx = np.arange(1 << p.n)
+    src = np.arange(1 << p.n) ^ xm  # row j of the result comes from row j ^ xm
     scale = 1j ** ((p.phase + (p.x & p.z).bit_count()) % 4)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1).astype(np.float64)
-    out = np.empty_like(state, dtype=np.complex128)
-    out[idx ^ xm] = scale * signs * state[idx]
-    return out
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & zm) & 1).astype(np.float64)
+    return (scale * signs).reshape((-1,) + (1,) * (state.ndim - 1)) * state[src]
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the operator."""
     _check_size(p.n)
-    dim = 1 << p.n
-    xm, zm = _index_masks(p)
-    idx = np.arange(dim)
-    scale = 1j ** ((p.phase + (p.x & p.z).bit_count()) % 4)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1).astype(np.float64)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[idx ^ xm, idx] = scale * signs
-    return mat
+    return apply_pauli(p, np.eye(1 << p.n))
 
 
 def expectation(state: np.ndarray, p: PauliString) -> complex:
@@ -223,91 +154,22 @@ def dfs_invariance(
 # ---------------------------------------------------------------------------
 
 
-def stabilizer_codewords(
-    generators: Sequence[PauliString],
-    logical_x: PauliString,
-    logical_z: PauliString,
-    seed_index: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project a seed basis state onto the +1 eigenspace of every generator.
+def codewords(code: "StabilizerCode") -> tuple[np.ndarray, np.ndarray]:
+    """Logical |0>, |1> statevectors of a one-logical-qubit stabilizer code.
 
-    The logical zero is fixed by Z_bar -> +1; the logical one is X_bar
-    applied to it.
+    |0...0> is projected onto the +1 eigenspace of every generator and of
+    Z_bar and normalized; the logical one is X_bar applied to it.
     """
-    n = logical_x.n
-    state = basis_state(n, seed_index)
-    for g in generators:
+    if code.k != 1:
+        raise ValueError(f"codewords need k = 1, got k = {code.k} for {code.name}")
+    state = basis_state(code.n, 0)
+    for g in (*code.generators, code.logical_z[0]):
         state = (state + apply_pauli(g, state)) / 2.0
-    state = state + apply_pauli(logical_z, state)
     norm = np.linalg.norm(state)
     if norm < 1e-12:
-        raise ValueError("seed state has no support on the code space")
+        raise ValueError(f"|0...0> has no support on the code space of {code.name}")
     w0 = state / norm
-    w1 = apply_pauli(logical_x, w0)
-    return w0, w1
-
-
-def expand_pair_blocks(state: np.ndarray) -> np.ndarray:
-    """Replace each qubit by a two-qubit collective-flip-protected block.
-
-    |0> -> (|00>+|11>)/sqrt2 and |1> -> (|01>+|10>)/sqrt2, i.e. the block
-    parity carries the original bit.
-    """
-    m = state.shape[0].bit_length() - 1
-    n = 2 * m
-    _check_size(n)
-    idx = np.arange(1 << n)
-    parent = np.zeros_like(idx)
-    for q in range(m):
-        hi = (idx >> (n - 1 - 2 * q)) & 1
-        lo = (idx >> (n - 2 - 2 * q)) & 1
-        parent |= (hi ^ lo) << (m - 1 - q)
-    return state[parent] * (2.0 ** (-m / 2.0))
-
-
-def encoding_circuit(code_id: str) -> Circuit:
-    """H/CNOT encoder; the logical input sits on qubit 0, ancillas on |0>."""
-    if code_id == "repetition-3":
-        return Circuit(3, (cx(0, 1), cx(0, 2)))
-    if code_id == "dfs-2":
-        return Circuit(2, (h(1), cx(1, 0)))
-    if code_id == "qd6":
-        # Copy the logical qubit across block representatives (0, 2, 4),
-        # then entangle each pair into its parity block.
-        return Circuit(
-            6,
-            (cx(0, 2), cx(0, 4), h(1), h(3), h(5), cx(1, 0), cx(3, 2), cx(5, 4)),
-        )
-    if code_id == "dq6":
-        # Entangle the two block representatives (0, 3), then repetition-
-        # encode within each block.
-        return Circuit(6, (h(3), cx(3, 0), cx(0, 1), cx(0, 2), cx(3, 4), cx(3, 5)))
-    raise ValueError(f"no gate-list encoder for {code_id!r}")
-
-
-def codewords(code_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """Logical |0>, |1> statevectors for base and concatenated codes."""
-    if code_id in ("repetition-3", "dfs-2", "qd6", "dq6"):
-        circuit = encoding_circuit(code_id)
-        w0 = apply(zero_state(circuit.n), circuit)
-        w1 = apply(basis_state(circuit.n, 1 << (circuit.n - 1)), circuit)
-        return w0, w1
-    if code_id == "knill-laflamme-5":
-        from . import stabilizer
-
-        code = stabilizer.builtin("knill-laflamme-5")
-        return stabilizer_codewords(
-            code.generators, code.logical_x[0], code.logical_z[0]
-        )
-    if code_id == "qd10":
-        w0, w1 = codewords("knill-laflamme-5")
-        return expand_pair_blocks(w0), expand_pair_blocks(w1)
-    if code_id == "dq10":
-        w0, w1 = codewords("knill-laflamme-5")
-        zero = (np.kron(w0, w0) + np.kron(w1, w1)) / np.sqrt(2.0)
-        one = (np.kron(w0, w1) + np.kron(w1, w0)) / np.sqrt(2.0)
-        return zero, one
-    raise ValueError(f"unknown code id {code_id!r}")
+    return w0, apply_pauli(code.logical_x[0], w0)
 
 
 def state_from_terms(n: int, terms: Iterable[tuple[str, float]]) -> np.ndarray:

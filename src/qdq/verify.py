@@ -8,7 +8,9 @@ without pytest.  Expected per-code values live in :mod:`qdq._tables`, with
 the threshold tolerances pinned in ``_tables.SUMMARY``; every other
 tolerance is stated once, at its check below.  The suites that cover several
 codes loop over :func:`qdq.concat.code_ids`, and a registered id with no
-fixture gives one failed ``<suite>.fixture-<id>`` check.
+fixture gives one failed ``<suite>.fixture-<id>`` check.  The codewords
+suite composes each code's expected codewords from the base-code entries of
+``_tables.CODEWORDS`` that its record names as outer and inner.
 """
 
 from __future__ import annotations
@@ -30,9 +32,15 @@ def _check(name: str, ok: bool, detail: str = "") -> Check:
     return (name, bool(ok), detail)
 
 
-def _missing_fixture(suite: str, cid: str, *tables: str) -> list[Check]:
-    """One failed ``<suite>.fixture-<cid>`` check if a named table lacks cid."""
-    absent = [f"_tables.{t}" for t in tables if cid not in getattr(_tables, t)]
+def _missing_fixture(
+    suite: str, cid: str, *tables: str, keys: tuple[str, ...] = ()
+) -> list[Check]:
+    """One failed ``<suite>.fixture-<cid>`` check if a named table lacks any
+    of ``keys`` (default: cid itself)."""
+    keys = keys or (cid,)
+    absent = [
+        f"_tables.{t}" for t in tables if any(k not in getattr(_tables, t) for k in keys)
+    ]
     if not absent:
         return []
     return [_check(f"{suite}.fixture-{cid}", False, f"no entry in {', '.join(absent)}")]
@@ -222,13 +230,17 @@ def suite_concat() -> list[Check]:
 def suite_codewords(code_filter: Optional[str] = None) -> list[Check]:
     checks = []
     for cid in [code_filter] if code_filter else concat.code_ids():
-        missing = _missing_fixture("codewords", cid, "CODEWORDS")
+        record = concat.record(cid)
+        missing = _missing_fixture(
+            "codewords", cid, "CODEWORDS", keys=(record.outer, record.inner)
+        )
         checks += missing
         if missing:
             continue
-        outer, inner = _tables.CODEWORDS[cid]
+        outer, inner = (_tables.CODEWORDS[name] for name in (record.outer, record.inner))
         want0, want1 = (_concatenated_state(terms, inner) for terms in outer)
-        got0, got1 = statevec.codewords(cid)
+        cc = concat.concatenated(cid)
+        got0, got1 = statevec.codewords(cc.code)
         ok0 = statevec.states_equal_up_to_phase(got0, want0, tol=1e-10)
         ok1 = statevec.states_equal_up_to_phase(got1, want1, tol=1e-10)
         detail = ""
@@ -239,7 +251,7 @@ def suite_codewords(code_filter: Optional[str] = None) -> list[Check]:
 
         ok = all(
             abs(statevec.expectation(w, rep) - 1.0) < 1e-9
-            for gclass in concat.concatenated(cid).classes
+            for gclass in cc.classes
             for rep in gclass.representatives
             for w in (got0, got1)
         )
@@ -267,14 +279,14 @@ def _kron(*states: np.ndarray) -> np.ndarray:
 
 def suite_kl() -> list[Check]:
     checks = []
-    kl5 = statevec.codewords("knill-laflamme-5")
+    kl5 = statevec.codewords(stabilizer.builtin("knill-laflamme-5"))
     errors = [pauli.identity(5)] + [
         pauli.single(5, q, letter) for letter in "XYZ" for q in range(5)
     ]
     checks.append(_check("kl.five-qubit-all-single-errors",
                          len(errors) == 16 and bool(statevec.kl_check(kl5, errors))))
 
-    rep3 = statevec.codewords("repetition-3")
+    rep3 = statevec.codewords(stabilizer.builtin("repetition-3"))
     flips = [pauli.identity(3)] + [pauli.single(3, q, "X") for q in range(3)]
     checks.append(_check("kl.rep3-bitflips", bool(statevec.kl_check(rep3, flips))))
     with_z = flips + [pauli.single(3, 0, "Z")]

@@ -45,7 +45,7 @@ def test_lift_logical_rep3_x_has_four_realizations_acting_identically():
     lifts = concat.lift_logical(rep3, "X")
     assert len(lifts) == 4
     assert str(lifts[0]) == "XXX"
-    w0, w1 = statevec.codewords("repetition-3")
+    w0, w1 = statevec.codewords(rep3)
     for op in lifts:
         # Every realization is exactly the logical flip on the code space.
         assert np.allclose(statevec.apply_pauli(op, w0), w1, atol=1e-12)
@@ -54,7 +54,7 @@ def test_lift_logical_rep3_x_has_four_realizations_acting_identically():
 
 def test_lift_logical_realizations_act_identically_dfs2():
     dfs2 = stabilizer.builtin("dfs-2")
-    w0, w1 = statevec.codewords("dfs-2")
+    w0, w1 = statevec.codewords(dfs2)
     for label in "IXYZ":
         ops = concat.lift_logical(dfs2, label)
         for w in (w0, w1):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdq import analytic, cli, concat, mc
+from qdq import _tables, analytic, cli, concat, mc
 from qdq.analytic import NoiseModel
 
 
@@ -34,6 +34,15 @@ def test_record_alone_is_a_cli_code(qd6_copy, capsys):
     assert cli.main(["threshold", "--code", "qd6"]) == 0
     want = capsys.readouterr().out
     assert got.replace(qd6_copy, "qd6") == want
+
+
+def test_record_and_its_fixtures_alone_pass_verify(qd6_copy, monkeypatch, capsys):
+    for table in (_tables.SUMMARY, _tables.GENERATOR_CLASSES):
+        monkeypatch.setitem(table, qd6_copy, table["qd6"])
+    assert cli.main(["verify"]) == 0
+    out = capsys.readouterr().out
+    for check in ("expansion", "generator-eigenvalues"):
+        assert f"[PASS] codewords.{check}-{qd6_copy}" in out.splitlines()
 
 
 def test_every_record_names_known_formulas_and_variants():

@@ -17,33 +17,6 @@ PAIR0 = statevec.state_from_terms(2, [("00", 1), ("11", 1)])
 PAIR1 = statevec.state_from_terms(2, [("01", 1), ("10", 1)])
 
 
-def test_hadamard_on_zero():
-    circuit = statevec.Circuit(1, (statevec.h(0),))
-    got = statevec.apply(statevec.zero_state(1), circuit)
-    assert np.allclose(got, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-
-
-def test_cnot_truth_table():
-    circuit = statevec.Circuit(2, (statevec.cx(0, 1),))
-    for a, b in itertools.product((0, 1), repeat=2):
-        got = statevec.apply(statevec.basis_state(2, (a << 1) | b), circuit)
-        want = statevec.basis_state(2, (a << 1) | (b ^ a))
-        assert np.allclose(got, want)
-
-
-def test_apply_preserves_norm_and_rejects_bad_gates():
-    rng = np.random.default_rng(0)
-    state = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state /= np.linalg.norm(state)
-    circuit = statevec.Circuit(3, (statevec.h(1), statevec.cx(2, 0), statevec.h(2)))
-    out = statevec.apply(state, circuit)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
-    with pytest.raises(ValueError, match="out of range"):
-        statevec.Circuit(2, (statevec.h(2),))
-    with pytest.raises(ValueError, match="control equals target"):
-        statevec.Circuit(2, (statevec.cx(1, 1),))
-
-
 def test_apply_pauli_matches_matrix():
     rng = np.random.default_rng(1)
     for text in ("XZ", "iYI", "-ZY", "XX"):
@@ -52,6 +25,16 @@ def test_apply_pauli_matches_matrix():
         direct = statevec.apply_pauli(p, state)
         dense = statevec.pauli_matrix(p) @ state
         assert np.allclose(direct, dense, atol=1e-12)
+
+
+def test_apply_pauli_acts_on_matrix_columns():
+    rng = np.random.default_rng(2)
+    p = pauli.parse("-iXYZ")
+    block = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    got = statevec.apply_pauli(p, block)
+    for col in range(3):
+        assert np.allclose(got[:, col], statevec.apply_pauli(p, block[:, col]), atol=1e-12)
+    assert np.allclose(got, statevec.pauli_matrix(p) @ block, atol=1e-12)
 
 
 def test_pauli_matrix_singles():
@@ -63,18 +46,26 @@ def test_pauli_matrix_singles():
 
 
 # ---------------------------------------------------------------------------
-# Encoders and codewords
+# Codewords
 # ---------------------------------------------------------------------------
 
 
+def base(name):
+    return statevec.codewords(stabilizer.builtin(name))
+
+
+def concatenated(code_id):
+    return statevec.codewords(concat.concatenated(code_id).code)
+
+
 def test_qd6_circuit_matches_printed_expansion():
-    w0, w1 = statevec.codewords("qd6")
+    w0, w1 = concatenated("qd6")
     assert np.allclose(w0, kron(PAIR0, PAIR0, PAIR0), atol=1e-10)
     assert np.allclose(w1, kron(PAIR1, PAIR1, PAIR1), atol=1e-10)
 
 
 def test_dq6_circuit_matches_printed_expansion():
-    w0, w1 = statevec.codewords("dq6")
+    w0, w1 = concatenated("dq6")
     want0 = statevec.state_from_terms(6, [("000000", 1), ("111111", 1)])
     want1 = statevec.state_from_terms(6, [("000111", 1), ("111000", 1)])
     assert np.allclose(w0, want0, atol=1e-10)
@@ -82,16 +73,16 @@ def test_dq6_circuit_matches_printed_expansion():
 
 
 def test_base_encoders():
-    r0, r1 = statevec.codewords("repetition-3")
+    r0, r1 = base("repetition-3")
     assert np.allclose(r0, statevec.basis_state(3, 0b000))
     assert np.allclose(r1, statevec.basis_state(3, 0b111))
-    d0, d1 = statevec.codewords("dfs-2")
+    d0, d1 = base("dfs-2")
     assert statevec.states_equal_up_to_phase(d0, PAIR0)
     assert statevec.states_equal_up_to_phase(d1, PAIR1)
 
 
 def test_five_qubit_codewords_match_fixture():
-    w0, w1 = statevec.codewords("knill-laflamme-5")
+    w0, w1 = base("knill-laflamme-5")
     fx0 = statevec.state_from_terms(5, _tables.FIVE_QUBIT_ZERO_TERMS)
     fx1 = statevec.state_from_terms(5, _tables.FIVE_QUBIT_ONE_TERMS)
     assert statevec.states_equal_up_to_phase(w0, fx0)
@@ -116,7 +107,7 @@ def test_five_qubit_one_sign_erratum_breaks_stabilization():
 
 
 def test_qd10_codewords_match_blockwise_fixture():
-    got0, got1 = statevec.codewords("qd10")
+    got0, got1 = concatenated("qd10")
 
     def build(terms):
         total = np.zeros(1 << 10, dtype=complex)
@@ -129,7 +120,7 @@ def test_qd10_codewords_match_blockwise_fixture():
 
 
 def test_dq10_codewords_match_tensor_fixture():
-    got0, got1 = statevec.codewords("dq10")
+    got0, got1 = concatenated("dq10")
     w0 = statevec.state_from_terms(5, _tables.FIVE_QUBIT_ZERO_TERMS)
     w1 = statevec.state_from_terms(5, _tables.FIVE_QUBIT_ONE_TERMS)
     want0 = (np.kron(w0, w0) + np.kron(w1, w1)) / np.sqrt(2)
@@ -141,7 +132,7 @@ def test_dq10_codewords_match_tensor_fixture():
 @pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
 def test_every_generator_representative_fixes_codewords(code_id):
     cc = concat.concatenated(code_id)
-    w0, w1 = statevec.codewords(code_id)
+    w0, w1 = concatenated(code_id)
     for gclass in cc.classes:
         for rep in gclass.representatives:
             for w in (w0, w1):
@@ -149,9 +140,9 @@ def test_every_generator_representative_fixes_codewords(code_id):
 
 
 def test_expectation_examples():
-    w0, _ = statevec.codewords("qd6")
+    w0, _ = concatenated("qd6")
     assert abs(statevec.expectation(w0, pauli.parse("XXIIII")) - 1.0) < 1e-12
-    assert abs(statevec.expectation(statevec.zero_state(1), pauli.parse("Z")) - 1.0) < 1e-12
+    assert abs(statevec.expectation(statevec.basis_state(1, 0), pauli.parse("Z")) - 1.0) < 1e-12
     # A block-level logical flip maps |0>_L to an orthogonal state.
     assert abs(statevec.expectation(w0, pauli.parse("XIIIII"))) < 1e-12
 
@@ -159,7 +150,7 @@ def test_expectation_examples():
 @pytest.mark.parametrize("code_id", ["qd6", "dq6"])
 def test_degenerate_pairs_act_identically_on_codewords(code_id):
     cc = concat.concatenated(code_id)
-    w0, w1 = statevec.codewords(code_id)
+    w0, w1 = concatenated(code_id)
     for members in cc.equivalence.sets:
         images0 = [statevec.apply_pauli(e, w0) for e in members]
         images1 = [statevec.apply_pauli(e, w1) for e in members]
@@ -174,7 +165,7 @@ def test_degenerate_pairs_act_identically_on_codewords(code_id):
 def test_logical_operators_act_correctly_on_concatenated_codewords():
     for code_id in ("qd6", "dq6", "qd10", "dq10"):
         cc = concat.concatenated(code_id)
-        w0, w1 = statevec.codewords(code_id)
+        w0, w1 = concatenated(code_id)
         flipped = statevec.apply_pauli(cc.code.logical_x[0], w0)
         assert statevec.states_equal_up_to_phase(flipped, w1)
         assert abs(statevec.expectation(w0, cc.code.logical_z[0]) - 1.0) < 1e-9
@@ -187,7 +178,7 @@ def test_logical_operators_act_correctly_on_concatenated_codewords():
 
 
 def test_kl_check_five_qubit_all_singles():
-    words = statevec.codewords("knill-laflamme-5")
+    words = base("knill-laflamme-5")
     errors = [pauli.identity(5)] + [
         pauli.single(5, q, letter) for letter in "XYZ" for q in range(5)
     ]
@@ -195,7 +186,7 @@ def test_kl_check_five_qubit_all_singles():
 
 
 def test_kl_check_rep3():
-    words = statevec.codewords("repetition-3")
+    words = base("repetition-3")
     flips = [pauli.identity(3)] + [pauli.single(3, q, "X") for q in range(3)]
     assert statevec.kl_check(words, flips).ok
     result = statevec.kl_check(words, flips + [pauli.parse("ZII")])
@@ -210,14 +201,49 @@ def test_kl_check_rep3():
 def test_kl_check_equivalence_sets_are_correctable():
     for code_id in ("qd6", "dq6"):
         cc = concat.concatenated(code_id)
-        words = statevec.codewords(code_id)
+        words = concatenated(code_id)
         errors = [e for s in cc.equivalence.sets for e in s]
         assert len(errors) == 32
         assert statevec.kl_check(words, errors).ok
 
 
+@pytest.mark.parametrize("code_id", concat.code_ids())
+def test_kl_check_decoder_table_corrections(code_id):
+    corrections = list(concat.concatenated(code_id).table.values())
+    assert statevec.kl_check(concatenated(code_id), corrections).ok
+
+
+def test_codewords_project_onto_a_non_diagonal_logical_z():
+    # Phase-flip repetition code: |0...0> is not a Z_bar eigenstate here.
+    phase_flip = stabilizer.StabilizerCode(
+        "phase-flip", 3, 1, (pauli.parse("XXI"), pauli.parse("IXX")),
+        (pauli.parse("ZZZ"),), (pauli.parse("XXX"),), (False, False)
+    )
+    w0, w1 = statevec.codewords(phase_flip)
+    plus = np.full(8, 8 ** -0.5)
+    minus = plus * np.array([(-1) ** bin(i).count("1") for i in range(8)])
+    assert np.allclose(w0, plus, atol=1e-12)
+    assert np.allclose(w1, minus, atol=1e-12)
+
+
+def test_codewords_reject_codes_without_one_logical_qubit():
+    code = stabilizer.builtin("repetition-3")
+    two = stabilizer.StabilizerCode(
+        "two", 2, 2, (), (pauli.parse("XI"), pauli.parse("IX")),
+        (pauli.parse("ZI"), pauli.parse("IZ")), ()
+    )
+    with pytest.raises(ValueError, match="k = 1"):
+        statevec.codewords(two)
+    flipped = stabilizer.StabilizerCode(
+        "flipped", 3, 1, (pauli.parse("-ZZI"), code.generators[1]),
+        code.logical_x, code.logical_z, (False, False)
+    )
+    with pytest.raises(ValueError, match="no support"):
+        statevec.codewords(flipped)
+
+
 def test_kl_check_rejects_non_orthonormal():
-    w0, _ = statevec.codewords("repetition-3")
+    w0, _ = base("repetition-3")
     with pytest.raises(ValueError, match="orthogonal"):
         statevec.kl_check((w0, w0), [pauli.identity(3)])
 
