@@ -6,7 +6,8 @@ needs other input, and a usage error exits 2 with one JSON object on
 stderr.  All output is CSV or JSON on stdout (or --out); CSV bytes are
 deterministic for fixed flags.  A ``fidelity sweep`` of more than
 ``MAX_SWEEP_ROWS`` (1,000,000) rows, counted as (pmax - pmin) / step + 1,
-is a usage error.  Code ids, curve variants and the variant
+is a usage error, and so is a ``dfs build`` group on more than
+``statevec.MAX_QUBITS`` (12) qubits.  Code ids, curve variants and the variant
 ``table1`` reports come from :data:`qdq.concat.REGISTRY`.
 """
 
@@ -18,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from . import analytic, concat, dfs, mc, stabilizer, verify
+from . import analytic, concat, dfs, mc, stabilizer, statevec, verify
 from .analytic import Alphabet, NoiseModel
 
 
@@ -105,6 +106,8 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
         group = dfs.AbelianErrorGroup.from_strings(args.elements.split(","))
     except ValueError as exc:
         raise _UsageError(f"--elements {args.elements}: {exc}") from None
+    if group.n > statevec.MAX_QUBITS:
+        raise _UsageError(f"--elements acts on {group.n} qubits; the cap is {statevec.MAX_QUBITS}")
     chars = dfs.characters(group)
     if args.character is not None and not 0 <= args.character < len(chars):
         raise _UsageError(f"--character {args.character} outside [0, {len(chars)})")

@@ -1,9 +1,10 @@
 """Decoherence-free subspaces of Abelian Pauli error groups.
 
 Supported groups are elementary Abelian 2-groups stored phase-free; every
-sign lives in the characters.  Each sign character chi yields a projector
-(1/|G|) sum_g chi(g) g whose range, when it hosts a whole number of qubits,
-is exported as a stabilizer code with every generator marked passive.
+sign lives in the characters.  A character chi's subspace is the +1 space
+of the r signed generators chi(g)*g, of dimension 2^(n-r); it is exported as
+a fully passive stabilizer code, and its basis is projected per X-orbit of
+basis states, with the dense :func:`projector` kept only as the reference.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 from . import pauli, statevec
 from .pauli import PauliString
 from .stabilizer import RowSpace, StabilizerCode, _row
-
-MAX_PROJECTOR_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -107,59 +106,50 @@ def characters(group: AbelianErrorGroup) -> list[Character]:
     return out
 
 
+def _signed_generators(group: AbelianErrorGroup, chi: Character) -> tuple[PauliString, ...]:
+    """chi(g)*g over a generating set; their joint +1 eigenspace is chi's."""
+    return tuple(
+        PauliString(g.n, g.x, g.z, 0 if chi.value(g) == 1 else 2)
+        for g in _generating_set(group)
+    )
+
+
 def projector(group: AbelianErrorGroup, chi: Character) -> np.ndarray:
-    """(1/|G|) sum_g chi(g) g as a dense matrix; idempotent and Hermitian."""
-    if group.n > MAX_PROJECTOR_QUBITS:
-        raise ValueError(
-            f"dense projector capped at {MAX_PROJECTOR_QUBITS} qubits, got {group.n}"
-        )
-    dim = 1 << group.n
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for g in group.elements:
-        total += chi.value(g) * statevec.pauli_matrix(g)
+    """(1/|G|) sum_g chi(g) g as a dense matrix: the reference for df_basis."""
+    total = sum(chi.value(g) * statevec.pauli_matrix(g) for g in group.elements)
     return total / len(group.elements)
 
 
-def df_basis(
-    group: AbelianErrorGroup, chi: Character, tol: float = 1e-10
-) -> list[np.ndarray]:
-    """Orthonormal basis of the projector range.
+def df_basis(group: AbelianErrorGroup, chi: Character) -> list[np.ndarray]:
+    """Orthonormal basis of chi's subspace, without a dense matrix.
 
-    The projector is applied to computational basis states in ascending
-    index order; zero images are discarded and the survivors orthonormalized,
-    so the output ordering is reproducible.
+    P g = chi(g) P, so P|i> is proportional across the X-orbit {i ^ xmask(g)}
+    and orbits have disjoint support: the basis is P|i>, normalized, for each
+    orbit's least index i, ascending, with P|i> != 0.  All amplitudes are
+    dyadic, so a killed orbit projects to exactly zero.
     """
-    proj = projector(group, chi)
-    basis: list[np.ndarray] = []
-    for index in range(proj.shape[0]):
-        vec = proj[:, index].copy()
-        for b in basis:
-            vec -= np.vdot(b, vec) * b
-        norm = np.linalg.norm(vec)
-        if norm > tol:
-            basis.append(vec / norm)
-    return basis
+    signed = _signed_generators(group, chi)
+    x_masks = {statevec._index_masks(g)[0] for g in group.elements}
+    least = (i for i in range(1 << group.n) if all(i ^ m >= i for m in x_masks))
+    images = (statevec.project(statevec.basis_state(group.n, i), signed) for i in least)
+    return [image / np.linalg.norm(image) for image in images if image.any()]
 
 
 def as_stabilizer_code(group: AbelianErrorGroup, chi: Character) -> StabilizerCode:
     """Export the subspace as a fully passive stabilizer code.
 
-    Generators are chi(g)*g over a generating set; the range must hold at
-    least one whole qubit (dimension 2^k, k >= 1).
+    Generators are chi(g)*g over a generating set; the range, of dimension
+    2^k with k = n - (generator count), must hold at least one whole qubit.
     """
-    gens = _generating_set(group)
-    signed = tuple(
-        PauliString(g.n, g.x, g.z, 0 if chi.value(g) == 1 else 2) for g in gens
-    )
-    k = group.n - len(gens)
-    rank = int(round(np.trace(projector(group, chi)).real))
-    if rank != (1 << k) or k < 1:
+    signed = _signed_generators(group, chi)
+    k = group.n - len(signed)
+    if k < 1:
         raise ValueError(
-            f"character range has dimension {rank}; cannot host whole qubits"
+            f"character range has dimension {1 << k}; cannot host whole qubits"
         )
     logical_x, logical_z = _complete_logicals(group.n, signed, k)
     return StabilizerCode(
-        name=f"dfs-{group.n}" if len(gens) else f"trivial-{group.n}",
+        name=f"dfs-{group.n}" if signed else f"trivial-{group.n}",
         n=group.n,
         k=k,
         generators=signed,

@@ -1,10 +1,9 @@
-"""Dense statevector engine for desk-scale codeword verification (n <= 12).
+"""Dense statevector engine for desk-scale states (n <= 12).
 
 Basis convention: qubit 0 is the most significant index bit, so the ket
-|000111> is amplitude index 0b000111.  Codewords of every code, base or
-concatenated, come from one stabilizer projection (:func:`codewords`); the
-hand-entered expansions in :mod:`qdq._tables` are the independent reference
-they are checked against.
+|000111> is amplitude index 0b000111.  One stabilizer projection (:func:`project`)
+builds the codewords of every code and the bases of :func:`qdq.dfs.df_basis`;
+hand-entered expansions in :mod:`qdq._tables` are the codewords' reference.
 """
 
 from __future__ import annotations
@@ -150,8 +149,15 @@ def dfs_invariance(
 
 
 # ---------------------------------------------------------------------------
-# Codeword constructions
+# Projections and codewords
 # ---------------------------------------------------------------------------
+
+
+def project(state: np.ndarray, generators: Iterable[PauliString]) -> np.ndarray:
+    """prod_j (1 + g_j)/2 |state>: onto the joint +1 eigenspace of commuting g_j."""
+    for g in generators:
+        state = (state + apply_pauli(g, state)) / 2.0
+    return state
 
 
 def codewords(code: "StabilizerCode") -> tuple[np.ndarray, np.ndarray]:
@@ -162,9 +168,7 @@ def codewords(code: "StabilizerCode") -> tuple[np.ndarray, np.ndarray]:
     """
     if code.k != 1:
         raise ValueError(f"codewords need k = 1, got k = {code.k} for {code.name}")
-    state = basis_state(code.n, 0)
-    for g in (*code.generators, code.logical_z[0]):
-        state = (state + apply_pauli(g, state)) / 2.0
+    state = project(basis_state(code.n, 0), (*code.generators, code.logical_z[0]))
     norm = np.linalg.norm(state)
     if norm < 1e-12:
         raise ValueError(f"|0...0> has no support on the code space of {code.name}")

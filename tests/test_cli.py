@@ -176,13 +176,15 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
         (("dfs", "build", "--character", "7"), "--character"),
         (("dfs", "build", "--elements", "QQ"), "--elements"),
         (("dfs", "build", "--elements", "XX,ZZ,XY"), "--elements"),
+        (("dfs", "build", "--elements", "I" * 13 + "," + "X" * 13), "--elements"),
         # Checked before any curve is evaluated, so no large sweep starts.
         (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "1e-9"), "--step"),
     ],
     ids=["step-zero", "step-negative", "pmin-above-pmax", "depth-zero",
          "verify-unknown-code", "p-above-one", "shots-not-integer",
          "concat-unknown-outer", "concat-unknown-inner", "dfs-character-out-of-range",
-         "dfs-elements-bad-letter", "dfs-elements-no-identity", "sweep-rows-over-cap"],
+         "dfs-elements-bad-letter", "dfs-elements-no-identity",
+         "dfs-elements-over-qubit-cap", "sweep-rows-over-cap"],
 )
 def test_bad_flag_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

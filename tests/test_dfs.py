@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qdq import dfs, pauli, stabilizer, statevec
+from qdq import cli, dfs, pauli, stabilizer, statevec
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +195,91 @@ def test_projector_capacity_guard():
     chi = dfs.Character({(0, 0): 1, (pauli.parse("X" * 13).x, 0): 1})
     with pytest.raises(ValueError, match="capped"):
         dfs.projector(big, chi)
+
+
+def _gram_schmidt_basis(group, chi, tol=1e-10):
+    """Reference: orthonormalize the dense projector's columns in index order."""
+    proj = dfs.projector(group, chi)
+    basis = []
+    for index in range(proj.shape[0]):
+        vec = proj[:, index].copy()
+        for b in basis:
+            vec -= np.vdot(b, vec) * b
+        norm = np.linalg.norm(vec)
+        if norm > tol:
+            basis.append(vec / norm)
+    return basis
+
+
+@st.composite
+def abelian_groups(draw):
+    """Sign-free Abelian groups on n <= 6 qubits from drawn generators.
+
+    A drawn Pauli joins the generators only if the group it generates with
+    them is one ``AbelianErrorGroup.from_strings`` accepts.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    group = dfs.AbelianErrorGroup.from_strings(["I" * n])
+    for x, z in draw(st.lists(st.tuples(masks, masks), max_size=n)):
+        keys = {(e.x, e.z) for e in group.elements}
+        keys |= {(e.x ^ x, e.z ^ z) for e in group.elements}
+        texts = sorted(pauli.format_pauli(pauli.PauliString(n, *key, 0)) for key in keys)
+        try:
+            group = dfs.AbelianErrorGroup.from_strings(texts)
+        except ValueError:
+            pass
+    return group
+
+
+def _group(elements):
+    return dfs.AbelianErrorGroup.from_strings(elements.split(","))
+
+
+@given(group=abelian_groups())
+@example(group=_group("II,XX"))
+@example(group=_group("IIII,XXII,IIXX,XXXX"))
+@example(group=_group("IIII,ZZZZ,XXXX,YYYY"))
+@example(group=_group("III,ZZI,IZZ,ZIZ"))
+@example(group=_group("I,Z"))
+@example(group=_group("II"))
+def test_df_basis_matches_gram_schmidt_reference(group):
+    n = group.n
+    r = len(group.elements).bit_length() - 1
+    for chi in dfs.characters(group):
+        basis = dfs.df_basis(group, chi)
+        reference = _gram_schmidt_basis(group, chi)
+        assert len(basis) == len(reference)
+        assert all(np.array_equal(a, b) for a, b in zip(basis, reference))
+        rank = round(np.trace(dfs.projector(group, chi)).real)
+        assert len(basis) == 2 ** (n - r) == rank
+        assert all(statevec.dfs_invariance(vec, group, chi) for vec in basis)
+        if n - r >= 1:
+            code = dfs.as_stabilizer_code(group, chi)
+            assert code.k == n - r
+            assert stabilizer.validate(code).valid
+        else:
+            with pytest.raises(ValueError, match="whole qubits"):
+                dfs.as_stabilizer_code(group, chi)
+
+
+def test_build_path_never_builds_a_dense_matrix(monkeypatch, capsys):
+    def dense(*args):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(dfs, "projector", dense)
+    monkeypatch.setattr(statevec, "pauli_matrix", dense)
+    n = 12
+    group = dfs.AbelianErrorGroup.from_strings(["I" * n, "X" * n, "Y" * n, "Z" * n])
+    chars = dfs.characters(group)
+    for chi in (chars[0], chars[-1]):
+        basis = dfs.df_basis(group, chi)
+        assert len(basis) == 1024
+        for vec in (basis[0], basis[511], basis[-1]):
+            assert statevec.dfs_invariance(vec, group, chi)
+        del basis
+    code = dfs.as_stabilizer_code(group, chars[0])
+    assert code.k == 10
+    assert stabilizer.validate(code).valid
+    assert cli.main(["dfs", "build", "--elements", "II,XX"]) == 0
+    assert '"characters"' in capsys.readouterr().out
