@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 internal check failure, 2 usage error.  Flags are
 checked at parse time, or by the handler before any work when the check
 needs other input, and a usage error exits 2 with one JSON object on
 stderr.  All output is CSV or JSON on stdout (or --out); CSV bytes are
-deterministic for fixed flags.  A ``fidelity sweep`` of more than
+deterministic for fixed flags.  JSON is strict: ``mc run`` reports an
+infinite z-score as null, and any other non-finite value is an exit-1
+error rather than an invalid document.  A ``fidelity sweep`` of more than
 ``MAX_SWEEP_ROWS`` (1,000,000) rows, counted as (pmax - pmin) / step + 1,
 is a usage error, and so is a ``dfs build`` group on more than
 ``statevec.MAX_QUBITS`` (12) qubits.  Code ids, curve variants and the variant
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -40,7 +43,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(payload: object, out: Optional[str]) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    """Strict JSON: a non-finite number raises ValueError (exit 1)."""
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _code_json(code: stabilizer.StabilizerCode) -> dict:
@@ -187,7 +191,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "shots": args.shots,
         "seed": args.seed,
         "analytic": report.analytic,
-        "z": report.z,
+        # Infinite when stderr is 0 and pf_hat differs from the analytic value.
+        "z": report.z if math.isfinite(report.z) else None,
     }
     _emit_json(payload, args.out)
     return 0

@@ -12,20 +12,30 @@ which the correlation spans whole physical rows regardless of blocking
 would behave differently near mu = 1 for DQ codes - that reading is
 documented here but not modelled.
 
+The decoder sees a block only through its class, a coset of the inner
+code's stabilizer group among the block's L^b letter patterns: two errors
+that differ by inner stabilizers share a syndrome, and their corrected
+residuals differ by a stabilizer, so they decode alike.  Each shot
+therefore draws one uniform per block and turns it into that block's class
+by inverse CDF over the class law; the class tuple indexes a failure table
+over all C^B tuples, built as XOR outer products of per-block syndrome and
+symplectic-key tables taken from each class's representative.  Sampling is
+one numpy kernel (:func:`qdq._kernels.count_failures`).  The class CDF is
+the pattern CDF, with patterns sorted by class, read at each class's last
+pattern, so the slow per-shot reference path (sample_error, which draws a
+real letter pattern from the same uniform, then decode_shot) must agree
+with the kernel shot-for-shot.
+
 The estimator reproduces the closed-form recursion exactly for the
 six-qubit codes under bit-flip noise.  For the ten-qubit codes the two
 quantities deliberately differ: the recursion treats every non-collective
 block error as one correctable outer error, whereas the table decoder only
 handles the designed correctable set, so e.g. a lone IZ inside a
 collective-flip pair lands on an unlisted syndrome and counts as a failure.
-The reported z-score against the recursion is informational there.
-
-The per-error decode outcome is precomputed into a lookup table over all
-L^n letter patterns, built as XOR outer products of per-qubit syndrome and
-symplectic-key tables, so sampling is one numpy kernel
-(:func:`qdq._kernels.count_failures`) that turns uniforms into letters and
-walks the table.  The slow per-shot reference path (sample_error + decoder
-+ classify) is kept for cross-checking and must agree shot-for-shot.
+There the exact value is the class law over all class tuples dotted with
+the failure table; the tests gate the estimate against it, and the z-score
+:func:`compare` reports against the recursion measures the gap between the
+two quantities.
 """
 
 from __future__ import annotations
@@ -43,8 +53,9 @@ from .concat import ConcatCode, concatenated
 from .pauli import PauliString
 from .stabilizer import ErrorKind
 
-# Shots per kernel call.  The failure count does not depend on it; 2**14 was
-# the fastest of 2**13 .. 2**16 for both code families (2-vCPU x86 host).
+# Shots per kernel call.  The failure count does not depend on it; with one
+# uniform per block, 2**14 and 2**15 were the fastest of 2**12 .. 2**16 for
+# both code families (2-vCPU x86 host).
 CHUNK_SHOTS = 1 << 14
 
 # Letter index -> (x bit, z bit); order I, X, Y, Z.
@@ -87,36 +98,116 @@ class AgreementReport:
 
 
 # ---------------------------------------------------------------------------
-# Failure lookup table
+# Block classes and the failure lookup table
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _BlockClasses:
+    """One block's L**b letter patterns, sorted (stably) by class.
+
+    ``x[i]`` and ``z[i]`` are the block-local bits of the i-th sorted
+    pattern, ``letters[i]`` its letters (qubit 0 first), ``classes[i]`` its
+    class, and ``ends[c]`` one past the last pattern of class c.  Classes
+    are numbered by their lowest pattern index, so the identity is class 0;
+    a class's first pattern is its representative.
+    """
+
+    letters: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    classes: np.ndarray
+    ends: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _block_classes(inner: stabilizer.StabilizerCode, alphabet: Alphabet) -> _BlockClasses:
+    """Cosets of the inner stabilizer group among one block's patterns.
+
+    Pattern index i = sum_q letter_q * L**q.  A pattern's coset label is
+    the smallest key (x << b) | z over its products with the group's
+    elements, so patterns that differ by an inner stabilizer share a label.
+    """
+    b = inner.n
+    n_letters = 2 if alphabet is Alphabet.BITFLIP else 4
+    index = np.arange(n_letters**b)
+    letters = np.stack([(index // n_letters**q) % n_letters for q in range(b)], axis=1)
+    x_bit = np.array([xb for xb, _ in _LETTER_XZ], dtype=np.int64)
+    z_bit = np.array([zb for _, zb in _LETTER_XZ], dtype=np.int64)
+    weights = np.int64(1) << np.arange(b, dtype=np.int64)
+    x = x_bit[letters] @ weights
+    z = z_bit[letters] @ weights
+
+    group = stabilizer.stabilizer_group(inner)
+    group_x = np.array([e.x for e in group], dtype=np.int64)
+    group_z = np.array([e.z for e in group], dtype=np.int64)
+    label = (((x[:, None] ^ group_x) << b) | (z[:, None] ^ group_z)).min(axis=1)
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    number = np.empty(first.size, dtype=np.int64)
+    number[np.argsort(first)] = np.arange(first.size)
+    classes = number[inverse]
+
+    order = np.argsort(classes, kind="stable")
+    return _BlockClasses(
+        letters=letters[order],
+        x=x[order],
+        z=z[order],
+        classes=classes[order],
+        ends=np.cumsum(np.bincount(classes)),
+    )
+
+
+@functools.lru_cache(maxsize=128)
+def _pattern_cdf(model: NoiseModel, inner: stabilizer.StabilizerCode) -> np.ndarray:
+    """Cumulative chain law over one block's class-sorted patterns.
+
+    Each step is the pattern's :func:`qdq.analytic.chain_probability`,
+    multiplied in the same order, so the class CDF read from it at the class
+    ends and this CDF place every uniform in the same class.
+    """
+    letters = _block_classes(inner, model.alphabet).letters
+    n_letters = len(model.letter_probs)
+    conditional = np.array(
+        [[analytic.conditional_prob(model, i, j) for j in range(n_letters)]
+         for i in range(n_letters)]
+    )
+    law = np.asarray(model.letter_probs)[letters[:, 0]]
+    for q in range(1, letters.shape[1]):
+        law = law * conditional[letters[:, q], letters[:, q - 1]]
+    return np.cumsum(law)
 
 
 @functools.lru_cache(maxsize=None)
 def _failure_table(code_id: str, alphabet: Alphabet) -> np.ndarray:
-    """fail[index] over all letter patterns, index = sum_q letter_q * L**q.
+    """fail[index] over all class tuples, index = sum_b class_b * C**b.
 
     The syndrome and the symplectic key (x << n) | z of an error are
-    GF(2)-linear in it, so over all L**n patterns each is the XOR outer
-    product of n per-qubit tables of L entries.  Folding from qubit n-1
-    down to qubit 0 leaves qubit 0 varying fastest, matching the index.
+    GF(2)-linear in it, so over all C**B class tuples each is the XOR outer
+    product of B per-block tables of C entries, one per class
+    representative.  A representative stands for its whole class: the
+    other patterns differ from it by inner stabilizers, which leave the
+    syndrome alone and the corrected residual within the stabilizer group.
+    Folding from block B-1 down to block 0 leaves block 0 varying fastest,
+    matching the index.
     """
     ccode = concatenated(code_id)
     n = ccode.spec.n_cc
-    n_letters = 2 if alphabet is Alphabet.BITFLIP else 4
     gens = ccode.code.generators
+    classes = _block_classes(ccode.spec.inner, alphabet)
+    starts = np.concatenate(([0], classes.ends[:-1]))
+    rep_x, rep_z = classes.x[starts], classes.z[starts]
 
     syn = np.zeros(1, dtype=np.uint16)
     key = np.zeros(1, dtype=np.uint32)
-    for q in reversed(range(n)):
-        syn_q = np.zeros(n_letters, dtype=np.uint16)
-        key_q = np.zeros(n_letters, dtype=np.uint32)
-        for letter, (xb, zb) in enumerate(_LETTER_XZ[:n_letters]):
-            for i, g in enumerate(gens):
-                bit = (xb & (g.z >> q)) ^ (zb & (g.x >> q))
-                syn_q[letter] |= (bit & 1) << i
-            key_q[letter] = (xb << (n + q)) | (zb << q)
-        syn = (syn[:, None] ^ syn_q[None, :]).ravel()
-        key = (key[:, None] ^ key_q[None, :]).ravel()
+    for block in reversed(ccode.spec.blocks):
+        x_b, z_b = rep_x << block[0], rep_z << block[0]
+        syn_b = np.zeros(starts.size, dtype=np.uint16)
+        for i, g in enumerate(gens):
+            anti = np.bitwise_count(x_b & g.z) + np.bitwise_count(z_b & g.x)
+            syn_b |= (anti & 1).astype(np.uint16) << i
+        key_b = ((x_b << n) | z_b).astype(np.uint32)
+        syn = (syn[:, None] ^ syn_b[None, :]).ravel()
+        key = (key[:, None] ^ key_b[None, :]).ravel()
 
     n_syn = 1 << len(gens)
     corr_key = np.zeros(n_syn, dtype=np.uint32)
@@ -135,21 +226,21 @@ def _failure_table(code_id: str, alphabet: Alphabet) -> np.ndarray:
 
 
 def _chain_arrays(model: NoiseModel, ccode: ConcatCode):
-    probs = np.asarray(model.letter_probs, dtype=np.float64)
-    n_letters = probs.shape[0]
-    cum_marginal = np.cumsum(probs)
-    conditional = np.empty((n_letters, n_letters), dtype=np.float64)
-    for j in range(n_letters):
-        for i in range(n_letters):
-            conditional[j, i] = analytic.conditional_prob(model, i, j)
-    cum_conditional = np.cumsum(conditional, axis=1)
-    blocks = ccode.spec.blocks
-    block_starts = np.asarray([b[0] for b in blocks], dtype=np.int64)
-    block_sizes = np.asarray([len(b) for b in blocks], dtype=np.int64)
-    strides = np.asarray(
-        [n_letters**q for q in range(ccode.spec.n_cc)], dtype=np.int64
-    )
-    return cum_marginal, cum_conditional, block_starts, block_sizes, strides
+    """The kernel's inputs: each block is one site whose letter is its class.
+
+    Blocks are independent, so every conditional row is the class CDF
+    itself and every site's uniform is its own column of the (shots, B)
+    draw.  Returns (cum_marginal, cum_conditional, block_starts,
+    block_sizes, strides) in the kernel's positional order.
+    """
+    classes = _block_classes(ccode.spec.inner, model.alphabet)
+    cum_class = _pattern_cdf(model, ccode.spec.inner)[classes.ends - 1]
+    n_classes, n_blocks = cum_class.size, len(ccode.spec.blocks)
+    cum_conditional = np.tile(cum_class, (n_classes, 1))
+    block_starts = np.arange(n_blocks, dtype=np.int64)
+    block_sizes = np.ones(n_blocks, dtype=np.int64)
+    strides = n_classes ** np.arange(n_blocks, dtype=np.int64)
+    return cum_class, cum_conditional, block_starts, block_sizes, strides
 
 
 # ---------------------------------------------------------------------------
@@ -157,38 +248,23 @@ def _chain_arrays(model: NoiseModel, ccode: ConcatCode):
 # ---------------------------------------------------------------------------
 
 
-def _letters_from_uniforms(
-    uniforms: np.ndarray, cum_marginal, cum_conditional, blocks
-) -> list[int]:
-    n_letters = cum_marginal.shape[0]
-    letters = [0] * uniforms.shape[0]
-    for block in blocks:
-        prev = 0
-        for offset, q in enumerate(block):
-            row = cum_marginal if offset == 0 else cum_conditional[prev]
-            letter = 0
-            for t in range(n_letters - 1):
-                if uniforms[q] >= row[t]:
-                    letter += 1
-            letters[q] = letter
-            prev = letter
-    return letters
-
-
 def sample_error(
     model: NoiseModel, ccode: ConcatCode, rng: np.random.Generator
 ) -> PauliString:
-    """Reference sampler: one correlated error, one uniform per qubit."""
-    cum_marginal, cum_conditional, *_ = _chain_arrays(model, ccode)
-    uniforms = rng.random(ccode.spec.n_cc)
-    letters = _letters_from_uniforms(
-        uniforms, cum_marginal, cum_conditional, ccode.spec.blocks
-    )
+    """Reference sampler: one correlated error, one uniform per block.
+
+    Each uniform picks a letter pattern by inverse CDF over the block's
+    class-sorted pattern law, the same stream :func:`estimate_pf` reads
+    only as classes.
+    """
+    classes = _block_classes(ccode.spec.inner, model.alphabet)
+    cdf = _pattern_cdf(model, ccode.spec.inner)
+    uniforms = rng.random(len(ccode.spec.blocks))
+    picks = np.searchsorted(cdf[:-1], uniforms, side="right")
     x = z = 0
-    for q, letter in enumerate(letters):
-        xb, zb = _LETTER_XZ[letter]
-        x |= xb << q
-        z |= zb << q
+    for block, pick in zip(ccode.spec.blocks, picks.tolist()):
+        x |= int(classes.x[pick]) << block[0]
+        z |= int(classes.z[pick]) << block[0]
     return PauliString(ccode.spec.n_cc, x, z, 0)
 
 
@@ -208,8 +284,8 @@ def decode_shot(ccode: ConcatCode, error: PauliString) -> bool:
 def estimate_pf(config: SampleConfig) -> MCEstimate:
     """Failure fraction with binomial standard error.
 
-    Deterministic given (seed, config): uniforms are consumed qubit-major
-    within each shot regardless of chunking.
+    Deterministic given (seed, config): each shot consumes one uniform per
+    block, block 0 first, regardless of chunking.
     """
     ccode = concatenated(config.code_id)
     fail_table = _failure_table(config.code_id, config.model.alphabet)
@@ -217,12 +293,12 @@ def estimate_pf(config: SampleConfig) -> MCEstimate:
         config.model, ccode
     )
     rng = np.random.default_rng(config.seed)
-    n = ccode.spec.n_cc
+    n_blocks = len(ccode.spec.blocks)
     failures = 0
     remaining = config.shots
     while remaining > 0:
         m = min(CHUNK_SHOTS, remaining)
-        uniforms = rng.random((m, n))
+        uniforms = rng.random((m, n_blocks))
         failures += _kernels.count_failures(
             uniforms,
             block_starts,

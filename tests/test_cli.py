@@ -129,6 +129,31 @@ def test_mc_run_smoke(capsys):
     assert payload["z"] <= 6.0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_mc_run_emits_strict_json_when_z_is_infinite(capsys):
+    # One shot: stderr is 0 and pf_hat differs from the analytic value.
+    code, out = run(
+        capsys, "mc", "run", "--code", "qd10", "--p", "0.3", "--mu", "0",
+        "--shots", "1", "--seed", "0",
+    )
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["stderr"] == 0.0 and payload["pf_hat"] != payload["analytic"]
+    assert payload["z"] is None
+
+
+def test_non_finite_json_value_is_an_exit_one_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli.mc, "analytic_reference", lambda code_id, model: float("nan"))
+    code = cli.main(["mc", "run", "--code", "qd6", "--p", "0.1", "--mu", "0",
+                     "--shots", "100", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error" in json.loads(captured.err, parse_constant=_reject_constant)
+
+
 def test_verify_single_suite_exits_zero(capsys):
     code, out = run(capsys, "verify", "--suite", "pauli")
     assert code == 0

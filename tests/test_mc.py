@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from qdq import concat, mc, pauli, stabilizer
+from qdq import _kernels, analytic, concat, mc, pauli, stabilizer
 from qdq.analytic import Alphabet, NoiseModel
 from qdq.stabilizer import ErrorKind
 
@@ -51,14 +52,85 @@ def _pattern_error(index, n, n_letters):
     return pauli.parse("".join(letters))
 
 
+_LETTER_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_reference_table(code_id, alphabet):
+    """fail[index] over all L**n letter patterns, index = sum_q letter_q * L**q.
+
+    The per-qubit form of the failure table: syndrome and symplectic key
+    (x << n) | z are GF(2)-linear in the error, so over all patterns each
+    is the XOR outer product of n per-qubit tables of L entries.
+    """
+    ccode = concat.concatenated(code_id)
+    n = ccode.spec.n_cc
+    n_letters = 2 if alphabet is Alphabet.BITFLIP else 4
+    gens = ccode.code.generators
+
+    syn = np.zeros(1, dtype=np.uint16)
+    key = np.zeros(1, dtype=np.uint32)
+    for q in reversed(range(n)):
+        syn_q = np.zeros(n_letters, dtype=np.uint16)
+        key_q = np.zeros(n_letters, dtype=np.uint32)
+        for letter, (xb, zb) in enumerate(_LETTER_XZ[:n_letters]):
+            for i, g in enumerate(gens):
+                bit = (xb & (g.z >> q)) ^ (zb & (g.x >> q))
+                syn_q[letter] |= (bit & 1) << i
+            key_q[letter] = (xb << (n + q)) | (zb << q)
+        syn = (syn[:, None] ^ syn_q[None, :]).ravel()
+        key = (key[:, None] ^ key_q[None, :]).ravel()
+
+    n_syn = 1 << len(gens)
+    corr_key = np.zeros(n_syn, dtype=np.uint32)
+    known = np.zeros(n_syn, dtype=bool)
+    for syndrome, correction in ccode.table.items():
+        s = sum(b << i for i, b in enumerate(syndrome))
+        corr_key[s] = (correction.x << n) | correction.z
+        known[s] = True
+
+    stab_lookup = np.zeros(1 << (2 * n), dtype=bool)
+    for element in stabilizer.stabilizer_group(ccode.code):
+        stab_lookup[(element.x << n) | element.z] = True
+
+    key ^= corr_key[syn]
+    return ~(known[syn] & stab_lookup[key])
+
+
+def _local_classes(code_id, alphabet):
+    """Class of every block-local pattern, by local index."""
+    inner = concat.concatenated(code_id).spec.inner
+    classes = mc._block_classes(inner, alphabet)
+    n_letters = 2 if alphabet is Alphabet.BITFLIP else 4
+    local = classes.letters @ (n_letters ** np.arange(inner.n))
+    by_local = np.empty(local.size, dtype=np.int64)
+    by_local[local] = classes.classes
+    return by_local
+
+
+def _class_index(code_id, alphabet, indices):
+    """Class-tuple index sum_b class_b * C**b of each letter pattern."""
+    ccode = concat.concatenated(code_id)
+    by_local = _local_classes(code_id, alphabet)
+    n_classes = int(by_local.max()) + 1
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.zeros_like(indices)
+    for b in range(len(ccode.spec.blocks)):
+        local = (indices // by_local.size**b) % by_local.size
+        out += by_local[local] * n_classes**b
+    return out
+
+
 def _assert_table_matches_decoder(code_id, alphabet, indices):
     ccode = concat.concatenated(code_id)
     table = mc._failure_table(code_id, alphabet)
+    reference = _pattern_reference_table(code_id, alphabet)
     n_letters = 2 if alphabet is Alphabet.BITFLIP else 4
-    assert table.shape == (n_letters**ccode.spec.n_cc,)
-    for index in indices:
+    for index, class_index in zip(indices, _class_index(code_id, alphabet, indices)):
         error = _pattern_error(int(index), ccode.spec.n_cc, n_letters)
-        assert bool(table[index]) == mc.decode_shot(ccode, error), (code_id, str(error))
+        decoded = mc.decode_shot(ccode, error)
+        assert bool(table[class_index]) == bool(reference[index]) == decoded, (
+            code_id, str(error))
 
 
 @pytest.mark.parametrize("alphabet", [Alphabet.BITFLIP, Alphabet.DEPOLARIZING3])
@@ -74,6 +146,96 @@ def test_failure_table_matches_reference_decoder_on_sample(code_id):
     sample = np.random.default_rng(41).choice(size, 4096, replace=False)
     indices = np.concatenate(([0, size - 1], sample))
     _assert_table_matches_decoder(code_id, Alphabet.DEPOLARIZING3, indices)
+
+
+@pytest.mark.parametrize(
+    "code_id, alphabet, classes, entries",
+    [
+        ("qd6", Alphabet.BITFLIP, 2, 8),
+        ("dq6", Alphabet.BITFLIP, 8, 64),
+        ("qd10", Alphabet.DEPOLARIZING3, 8, 32_768),
+        ("dq10", Alphabet.DEPOLARIZING3, 64, 4_096),
+    ],
+)
+def test_block_class_counts_and_table_sizes(code_id, alphabet, classes, entries):
+    assert int(_local_classes(code_id, alphabet).max()) + 1 == classes
+    table = mc._failure_table(code_id, alphabet)
+    assert table.dtype == np.uint8 and table.shape == (entries,)
+
+
+def _block_pattern_law(model, block_size):
+    """Chain law of one block's patterns, by local index (qubit 0 fastest)."""
+    n_letters = len(model.letter_probs)
+    law = np.empty(n_letters**block_size)
+    for index in range(law.size):
+        letters = [(index // n_letters**q) % n_letters for q in range(block_size)]
+        law[index] = analytic.chain_probability(model, letters)
+    return law
+
+
+def _product(block_laws):
+    """Law over all tuples, block 0 varying fastest."""
+    law = np.ones(1)
+    for block_law in reversed(block_laws):
+        law = np.kron(law, block_law)
+    return law
+
+
+def _exact_pf_by_classes(code_id, model):
+    ccode = concat.concatenated(code_id)
+    pattern_law = _block_pattern_law(model, ccode.spec.inner.n)
+    class_law = np.bincount(_local_classes(code_id, model.alphabet), weights=pattern_law)
+    law = _product([class_law] * len(ccode.spec.blocks))
+    return float(law @ mc._failure_table(code_id, model.alphabet))
+
+
+def _exact_pf_by_patterns(code_id, model):
+    ccode = concat.concatenated(code_id)
+    pattern_law = _block_pattern_law(model, ccode.spec.inner.n)
+    law = _product([pattern_law] * len(ccode.spec.blocks))
+    return float(law @ _pattern_reference_table(code_id, model.alphabet))
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet.BITFLIP, Alphabet.DEPOLARIZING3])
+@pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
+def test_block_class_law_gives_the_exact_pattern_failure_probability(code_id, alphabet):
+    for p in (0.0, 0.01, 0.05, 0.2, 0.5, 1.0):
+        for mu in (0.0, 0.5, 1.0):
+            model = NoiseModel(p, mu, alphabet)
+            by_classes = _exact_pf_by_classes(code_id, model)
+            by_patterns = _exact_pf_by_patterns(code_id, model)
+            assert abs(by_classes - by_patterns) <= 1e-12, (p, mu)
+
+
+def test_exact_block_law_pins():
+    model = NoiseModel(0.05, 0.5, Alphabet.DEPOLARIZING3)
+    assert round(_exact_pf_by_classes("dq10", model), 6) == 0.123752
+    assert round(_exact_pf_by_classes("qd10", model), 6) == 0.160222
+
+
+@pytest.mark.parametrize("code_id", ["qd10", "dq10"])
+def test_ten_qubit_estimate_agrees_with_exact_block_law(code_id):
+    config = cfg(code_id=code_id, p=0.05, mu=0.5, shots=200_000, seed=2024)
+    report = mc.compare(config, _exact_pf_by_classes(code_id, config.model))
+    assert report.z <= 4.0, report
+
+
+@pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
+def test_benchmark_probe_calls_keep_working(code_id):
+    # The private calls perfbench's traced rounds make, with its argument shapes.
+    alphabet = mc.default_alphabet(code_id)
+    table = mc._failure_table(code_id, alphabet)
+    assert isinstance(len(table), int)
+    ccode = concat.concatenated(code_id)
+    model = NoiseModel(0.05, 0.5, alphabet)
+    marginal, conditional, starts, sizes, strides = mc._chain_arrays(model, ccode)
+    rng = np.random.default_rng(1)
+    for m in (1, 1_000, mc.CHUNK_SHOTS):
+        uniforms = rng.random((m, ccode.spec.n_cc))
+        failures = _kernels.count_failures(
+            uniforms, starts, sizes, marginal, conditional, strides, table
+        )
+        assert isinstance(failures, int) and 0 <= failures <= m
 
 
 @pytest.mark.parametrize("alphabet", [Alphabet.BITFLIP, Alphabet.DEPOLARIZING3])

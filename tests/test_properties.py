@@ -2,11 +2,12 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qdq import analytic, concat, mc, pauli
+from qdq import _kernels, analytic, concat, mc, pauli, stabilizer
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -100,3 +101,77 @@ def test_products_commute_up_to_the_sign_commutes_sets(pair):
     ab, ba = pauli.multiply(a, b), pauli.multiply(b, a)
     assert (ab.x, ab.z) == (ba.x, ba.z)
     assert (ab.phase - ba.phase) % 4 == (0 if pauli.commutes(a, b) else 2)
+
+
+# The block-class stream: one uniform per block, read as a class by the
+# kernel and as a letter pattern by the reference sampler.
+edge_or_unit = st.one_of(st.sampled_from((0.0, 1.0)), unit)
+BLOCK_CODES = [
+    (inner, alphabet)
+    for inner in ("dfs-2", "repetition-3", "knill-laflamme-5")
+    for alphabet in analytic.Alphabet
+]
+
+
+def _stream(inner_name, alphabet, p, mu):
+    inner = stabilizer.builtin(inner_name)
+    model = analytic.NoiseModel(p, mu, alphabet)
+    classes = mc._block_classes(inner, alphabet)
+    pattern_cdf = mc._pattern_cdf(model, inner)
+    return model, classes, pattern_cdf, pattern_cdf[classes.ends - 1]
+
+
+def _uniforms(data, cdf, size=None):
+    """Uniforms in [0, 1), CDF thresholds among them."""
+    edges = [float(t) for t in cdf if t < 1.0]
+    draw = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    if edges:
+        draw = st.one_of(draw, st.sampled_from(edges))
+    bounds = {"min_size": size, "max_size": size} if size else {"min_size": 1, "max_size": 20}
+    return np.array(data.draw(st.lists(draw, **bounds)))
+
+
+class _GivenUniforms:
+    """Stands in for a numpy Generator whose next draw is known."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values
+
+
+@pytest.mark.parametrize("alphabet", list(analytic.Alphabet))
+@pytest.mark.parametrize("code_id", concat.code_ids())
+@given(p=edge_or_unit, mu=edge_or_unit, data=st.data())
+def test_class_of_uniform_is_class_of_its_sampled_pattern(code_id, alphabet, p, mu, data):
+    ccode = concat.concatenated(code_id)
+    model = analytic.NoiseModel(p, mu, alphabet)
+    classes = mc._block_classes(ccode.spec.inner, alphabet)
+    class_cdf = mc._chain_arrays(model, ccode)[0]
+    blocks = ccode.spec.blocks
+    u = _uniforms(data, mc._pattern_cdf(model, ccode.spec.inner), size=len(blocks))
+    error = mc.sample_error(model, ccode, _GivenUniforms(u))
+    class_of = dict(zip(zip(classes.x.tolist(), classes.z.tolist()), classes.classes.tolist()))
+    mask = (1 << ccode.spec.inner.n) - 1
+    sampled = [class_of[(error.x >> b[0]) & mask, (error.z >> b[0]) & mask] for b in blocks]
+    assert sampled == _kernels.site_classes(u, class_cdf).tolist()
+
+
+@pytest.mark.parametrize("inner_name, alphabet", BLOCK_CODES)
+@given(p=edge_or_unit, mu=edge_or_unit, data=st.data())
+def test_compare_sum_equals_searchsorted(inner_name, alphabet, p, mu, data):
+    *_, class_cdf = _stream(inner_name, alphabet, p, mu)
+    u = _uniforms(data, class_cdf)
+    thresholds = class_cdf[:-1]
+    assert np.array_equal(_kernels.compare_sum(u, thresholds), _kernels.search(u, thresholds))
+
+
+@pytest.mark.parametrize("inner_name, alphabet", BLOCK_CODES)
+@given(p=edge_or_unit, mu=edge_or_unit)
+def test_pattern_cdf_steps_are_chain_probabilities(inner_name, alphabet, p, mu):
+    model, classes, pattern_cdf, _ = _stream(inner_name, alphabet, p, mu)
+    steps = np.diff(pattern_cdf, prepend=0.0)
+    for letters, step in zip(classes.letters.tolist(), steps):
+        assert abs(step - analytic.chain_probability(model, letters)) <= 1e-15
