@@ -129,6 +129,14 @@ def test_mc_run_smoke(capsys):
     assert payload["z"] <= 6.0
 
 
+def test_mc_run_estimate_is_pinned(capsys):
+    payload = run_json(
+        capsys, "mc", "run", "--code", "dq10", "--p", "0.05", "--mu", "0.5",
+        "--shots", "100000", "--seed", "7",
+    )
+    assert payload["pf_hat"] == 0.12214
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -238,6 +238,72 @@ def test_benchmark_probe_calls_keep_working(code_id):
         assert isinstance(failures, int) and 0 <= failures <= m
 
 
+def _reference_count_failures(uniforms, block_starts, cum_marginal, strides, fail_table):
+    """The per-column kernel: one column at a time, a sum of comparisons for
+    at most 16 classes and np.searchsorted above."""
+    thresholds = cum_marginal[:-1]
+    index = np.zeros(uniforms.shape[0], dtype=np.intp)
+    for column, stride in zip(block_starts.tolist(), strides.tolist()):
+        u = np.ascontiguousarray(uniforms[:, column])
+        if cum_marginal.shape[0] > 16:
+            site = np.searchsorted(thresholds, u, side="right")
+        else:
+            site = np.zeros(u.shape[0], dtype=np.uint8)
+            for t in thresholds:
+                site += u >= t
+        index += site * np.intp(stride)
+    return int(np.count_nonzero(fail_table[index]))
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet.BITFLIP, Alphabet.DEPOLARIZING3])
+@pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
+def test_kernel_matches_per_column_reference(code_id, alphabet):
+    ccode = concat.concatenated(code_id)
+    table = mc._failure_table(code_id, alphabet)
+    rng = np.random.default_rng(3)
+    for p in (0.0, 0.01, 0.05, 0.2, 0.5, 1.0):
+        for mu in (0.0, 0.5, 1.0):
+            marginal, conditional, starts, sizes, strides = mc._chain_arrays(
+                NoiseModel(p, mu, alphabet), ccode
+            )
+            edges = marginal[marginal < 1.0]
+            # The estimator's (m, B) draw and the benchmark probe's (m, n_cc),
+            # read at the leading columns and at the last ones, reversed.
+            for width in (starts.size, ccode.spec.n_cc):
+                for m in (1, 7_001, mc.CHUNK_SHOTS):
+                    uniforms = rng.random((m, width))
+                    head = uniforms.reshape(-1)[: edges.size]
+                    head[:] = edges[: head.size]
+                    for columns in (starts, width - 1 - starts):
+                        fast = _kernels.count_failures(
+                            uniforms, columns, sizes, marginal, conditional, strides, table
+                        )
+                        slow = _reference_count_failures(
+                            uniforms, columns, marginal, strides, table
+                        )
+                        assert fast == slow, (p, mu, width, m, columns)
+
+
+# estimate_pf(...).failures at 200,000 shots, seed 2024, for
+# (p, mu) = (0.05, 0.5) and (0.1, 0): a faster kernel must not move them.
+STREAM_PINS = {
+    ("qd6", Alphabet.BITFLIP): (1_284, 17_075),
+    ("dq6", Alphabet.BITFLIP): (14_963, 10_940),
+    ("qd10", Alphabet.DEPOLARIZING3): (31_597, 101_457),
+    ("dq10", Alphabet.DEPOLARIZING3): (24_601, 30_276),
+}
+
+
+@pytest.mark.parametrize("code_id, alphabet", list(STREAM_PINS))
+def test_failure_counts_are_pinned(code_id, alphabet):
+    counts = tuple(
+        mc.estimate_pf(cfg(code_id=code_id, p=p, mu=mu, shots=200_000, seed=2024,
+                           alphabet=alphabet)).failures
+        for p, mu in ((0.05, 0.5), (0.1, 0.0))
+    )
+    assert counts == STREAM_PINS[code_id, alphabet]
+
+
 @pytest.mark.parametrize("alphabet", [Alphabet.BITFLIP, Alphabet.DEPOLARIZING3])
 @pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
 def test_single_noiseless_shot_does_not_fail(code_id, alphabet):

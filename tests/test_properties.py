@@ -159,13 +159,70 @@ def test_class_of_uniform_is_class_of_its_sampled_pattern(code_id, alphabet, p, 
     assert sampled == _kernels.site_classes(u, class_cdf).tolist()
 
 
+def _assert_three_lookups_agree(u, thresholds):
+    expected = _kernels.search(u, thresholds)
+    assert np.array_equal(_kernels.compare_sum(u, thresholds), expected)
+    assert np.array_equal(_kernels.indexed_search(u, thresholds), expected)
+
+
 @pytest.mark.parametrize("inner_name, alphabet", BLOCK_CODES)
 @given(p=edge_or_unit, mu=edge_or_unit, data=st.data())
 def test_compare_sum_equals_searchsorted(inner_name, alphabet, p, mu, data):
     *_, class_cdf = _stream(inner_name, alphabet, p, mu)
     u = _uniforms(data, class_cdf)
     thresholds = class_cdf[:-1]
-    assert np.array_equal(_kernels.compare_sum(u, thresholds), _kernels.search(u, thresholds))
+    _assert_three_lookups_agree(u, thresholds)
+    if u.size % 2 == 0:
+        _assert_three_lookups_agree(u.reshape(-1, 2), thresholds)
+
+
+# Synthetic class CDFs: thresholds on and off the 2**-12 guide-cell edges,
+# repeated (zero-probability classes), at 1.0 and past it.
+CELL = 2.0**-12
+ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+cell_edge = st.integers(0, 1 << 12).map(lambda c: c * CELL)
+threshold = st.one_of(unit, cell_edge, st.sampled_from((0.0, 1.0, ABOVE_ONE)))
+below_one = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+uniform = st.one_of(below_one, cell_edge.filter(lambda x: x < 1.0),
+                    st.sampled_from((0.0, BELOW_ONE)))
+
+
+@given(
+    thresholds=st.lists(threshold, min_size=1, max_size=255).map(sorted),
+    u=st.lists(uniform, min_size=1, max_size=40),
+)
+@example(thresholds=[0.0, CELL, 2 * CELL, 100 * CELL, 4095 * CELL],
+         u=[0.0, CELL, 2 * CELL, 0.5, 4095 * CELL, BELOW_ONE])
+@example(thresholds=[0.0, 0.0, 0.25, 0.25, 0.25, 0.5, 1.0, 1.0],
+         u=[0.0, 0.25, float(np.nextafter(0.25, 0.0)), 0.5, BELOW_ONE])
+@example(thresholds=[0.3, 1.0, ABOVE_ONE, ABOVE_ONE],
+         u=[0.0, 0.3, float(np.nextafter(0.3, 0.0)), BELOW_ONE])
+@example(thresholds=[(1 + 2 * k) * CELL / 2 for k in range(255)],
+         u=[k * CELL / 2 for k in range(512)])
+def test_indexed_search_equals_searchsorted_on_synthetic_cdfs(thresholds, u):
+    thresholds = np.array(thresholds)
+    below = thresholds[thresholds < 1.0]
+    # Every threshold below 1, and its neighbour just under it, as a uniform.
+    u = np.concatenate([u, below, np.nextafter(below, 0.0)])
+    _assert_three_lookups_agree(u, thresholds)
+    rows = u[: u.size - u.size % 3].reshape(-1, 3)
+    _assert_three_lookups_agree(rows, thresholds)
+    class_cdf = np.append(thresholds, 1.0)
+    assert np.array_equal(_kernels.site_classes(rows, class_cdf),
+                          _kernels.search(rows, thresholds))
+
+
+def test_class_cdfs_fit_in_uint8():
+    u = np.random.default_rng(0).random(10_000)
+    for thresholds in (np.arange(1, 256) / 256, np.sort(np.random.default_rng(1).random(255))):
+        class_cdf = np.append(thresholds, 1.0)
+        assert class_cdf.size == 256
+        classes = _kernels.site_classes(u, class_cdf)
+        assert np.array_equal(classes, _kernels.search(u, thresholds))
+        assert classes.max() == 255
+    with pytest.raises(ValueError, match="256"):
+        _kernels.site_classes(u, np.append(np.arange(1, 257) / 257, 1.0))
 
 
 @pytest.mark.parametrize("inner_name, alphabet", BLOCK_CODES)
