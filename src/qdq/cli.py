@@ -144,10 +144,10 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
             f"--step {args.step} asks for {span + 1:.0f} rows; the cap is {MAX_SWEEP_ROWS}"
         )
     pf = analytic.code_failure(args.code, args.variant)
-    steps = int(round(span))
+    # The last row is the last grid point <= pmax, up to float division.
     lines = ["p,mu,pf,fe"]
-    for i in range(steps + 1):
-        p = args.pmin + i * args.step
+    for i in range(math.floor(span + 1e-9) + 1):
+        p = min(args.pmin + i * args.step, args.pmax)
         value = pf(args.mu, p)
         lines.append(
             f"{p:.6g},{args.mu:.6g},{value:.6g},{1.0 - value:.6g}"

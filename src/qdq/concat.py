@@ -177,9 +177,8 @@ def build_generators(spec: ConcatSpec) -> tuple[GeneratorClass, ...]:
     return tuple(classes)
 
 
-def concatenated_code(spec: ConcatSpec) -> StabilizerCode:
+def concatenated_code(spec: ConcatSpec, classes: tuple[GeneratorClass, ...]) -> StabilizerCode:
     """One representative per generator class, with lifted logicals."""
-    classes = build_generators(spec)
     name = f"{spec.order.value}{spec.n_cc}"
     return StabilizerCode(
         name=name,
@@ -362,7 +361,7 @@ def record(code_id: str) -> Concatenation:
 def build(outer: StabilizerCode, inner: StabilizerCode, order: Order) -> ConcatCode:
     spec = make_spec(outer, inner, order)
     classes = build_generators(spec)
-    code = concatenated_code(spec)
+    code = concatenated_code(spec, classes)
     eq_class = equivalence_classes(spec)
     table = decoder_table(code, eq_class)
     return ConcatCode(

@@ -13,18 +13,20 @@ would behave differently near mu = 1 for DQ codes - that reading is
 documented here but not modelled.
 
 The decoder sees a block only through its class, a coset of the inner
-code's stabilizer group among the block's L^b letter patterns: two errors
-that differ by inner stabilizers share a syndrome, and their corrected
-residuals differ by a stabilizer, so they decode alike.  Each shot
-therefore draws one uniform per block and turns it into that block's class
-by inverse CDF over the class law; the class tuple indexes a failure table
-over all C^B tuples, built as XOR outer products of per-block syndrome and
-symplectic-key tables taken from each class's representative.  Sampling is
-one numpy kernel (:func:`qdq._kernels.count_failures`).  The class CDF is
-the pattern CDF, with patterns sorted by class, read at each class's last
-pattern, so the slow per-shot reference path (sample_error, which draws a
-real letter pattern from the same uniform, then decode_shot) must agree
-with the kernel shot-for-shot.
+code's stabilizer group among the block's L^b letter patterns: errors that
+differ by inner stabilizers decode alike.  Classes and failures both come
+from check words, an error's anticommutation bits with a k = 1 code's
+generators and logical X and Z: a GF(2)-linear map whose kernel is the
+stabilizer group.  A block's class is its inner word, the pair (inner
+syndrome, inner logical class).  Each shot draws one uniform per block and
+turns it into that block's class by inverse CDF over the class law; the
+class tuple indexes a failure table over all C^B tuples, folded from the
+words of each class's representative.  Sampling is one numpy kernel
+(:func:`qdq._kernels.count_failures`).  The class CDF is the pattern CDF,
+with patterns sorted by class, read at each class's last pattern, so the
+slow per-shot reference path (sample_error, which draws a real letter
+pattern from the same uniform, then decode_shot) must agree with the
+kernel shot-for-shot.
 
 The estimator reproduces the closed-form recursion exactly for the
 six-qubit codes under bit-flip noise.  For the ten-qubit codes the two
@@ -120,13 +122,30 @@ class _BlockClasses:
     ends: np.ndarray
 
 
+def _check_words(code: stabilizer.StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each error's check word, from its bits (x, z): bit i is whether it
+    anticommutes with generator i, the next two bits with logical X and Z.
+
+    GF(2)-linear in the error; for k = 1 its kernel is exactly the stabilizer
+    group (mod phase), so errors share a word iff they differ by a stabilizer.
+    """
+    if code.k != 1:
+        raise ValueError(f"check words need k = 1, {code.name} has k = {code.k}")
+    checks = (*code.generators, code.logical_x[0], code.logical_z[0])
+    word = np.zeros(np.shape(x), dtype=np.uint32)
+    for i, check in enumerate(checks):
+        anti = np.bitwise_count(x & check.z) + np.bitwise_count(z & check.x)
+        word |= (anti & 1).astype(np.uint32) << i
+    return word
+
+
 @functools.lru_cache(maxsize=None)
 def _block_classes(inner: stabilizer.StabilizerCode, alphabet: Alphabet) -> _BlockClasses:
     """Cosets of the inner stabilizer group among one block's patterns.
 
-    Pattern index i = sum_q letter_q * L**q.  A pattern's coset label is
-    the smallest key (x << b) | z over its products with the group's
-    elements, so patterns that differ by an inner stabilizer share a label.
+    Pattern index i = sum_q letter_q * L**q.  A pattern's label is its
+    inner check word, the pair (inner syndrome, inner logical class), which
+    patterns share iff they differ by an inner stabilizer (inner k = 1).
     """
     b = inner.n
     n_letters = 2 if alphabet is Alphabet.BITFLIP else 4
@@ -138,11 +157,8 @@ def _block_classes(inner: stabilizer.StabilizerCode, alphabet: Alphabet) -> _Blo
     x = x_bit[letters] @ weights
     z = z_bit[letters] @ weights
 
-    group = stabilizer.stabilizer_group(inner)
-    group_x = np.array([e.x for e in group], dtype=np.int64)
-    group_z = np.array([e.z for e in group], dtype=np.int64)
-    label = (((x[:, None] ^ group_x) << b) | (z[:, None] ^ group_z)).min(axis=1)
-    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    words = _check_words(inner, x, z)
+    _, first, inverse = np.unique(words, return_index=True, return_inverse=True)
     number = np.empty(first.size, dtype=np.int64)
     number[np.argsort(first)] = np.arange(first.size)
     classes = number[inverse]
@@ -181,48 +197,31 @@ def _pattern_cdf(model: NoiseModel, inner: stabilizer.StabilizerCode) -> np.ndar
 def _failure_table(code_id: str, alphabet: Alphabet) -> np.ndarray:
     """fail[index] over all class tuples, index = sum_b class_b * C**b.
 
-    The syndrome and the symplectic key (x << n) | z of an error are
-    GF(2)-linear in it, so over all C**B class tuples each is the XOR outer
-    product of B per-block tables of C entries, one per class
-    representative.  A representative stands for its whole class: the
-    other patterns differ from it by inner stabilizers, which leave the
-    syndrome alone and the corrected residual within the stabilizer group.
-    Folding from block B-1 down to block 0 leaves block 0 varying fastest,
-    matching the index.
+    The concatenated code's check word (k = 1) is GF(2)-linear in the
+    error, so over all C**B class tuples it is the XOR outer product of B
+    per-block tables of C words, one per class representative.  A
+    representative stands for its whole class: the other patterns differ
+    from it by inner stabilizers, which are stabilizers of the concatenated
+    code too.  A shot decodes correctly iff the correction listed for its
+    syndrome times the error is a stabilizer, that is iff its word is the
+    word of a listed correction.  Folding from block B-1 down to block 0
+    leaves block 0 varying fastest, matching the index.
     """
     ccode = concatenated(code_id)
-    n = ccode.spec.n_cc
-    gens = ccode.code.generators
+    code = ccode.code
     classes = _block_classes(ccode.spec.inner, alphabet)
     starts = np.concatenate(([0], classes.ends[:-1]))
     rep_x, rep_z = classes.x[starts], classes.z[starts]
 
-    syn = np.zeros(1, dtype=np.uint16)
-    key = np.zeros(1, dtype=np.uint32)
+    word = np.zeros(1, dtype=np.uint32)
     for block in reversed(ccode.spec.blocks):
-        x_b, z_b = rep_x << block[0], rep_z << block[0]
-        syn_b = np.zeros(starts.size, dtype=np.uint16)
-        for i, g in enumerate(gens):
-            anti = np.bitwise_count(x_b & g.z) + np.bitwise_count(z_b & g.x)
-            syn_b |= (anti & 1).astype(np.uint16) << i
-        key_b = ((x_b << n) | z_b).astype(np.uint32)
-        syn = (syn[:, None] ^ syn_b[None, :]).ravel()
-        key = (key[:, None] ^ key_b[None, :]).ravel()
+        word_b = _check_words(code, rep_x << block[0], rep_z << block[0])
+        word = (word[:, None] ^ word_b[None, :]).ravel()
 
-    n_syn = 1 << len(gens)
-    corr_key = np.zeros(n_syn, dtype=np.uint32)
-    known = np.zeros(n_syn, dtype=bool)
-    for syndrome, correction in ccode.table.items():
-        s = sum(b << i for i, b in enumerate(syndrome))
-        corr_key[s] = (correction.x << n) | correction.z
-        known[s] = True
-
-    stab_lookup = np.zeros(1 << (2 * n), dtype=bool)
-    for element in stabilizer.stabilizer_group(ccode.code):
-        stab_lookup[(element.x << n) | element.z] = True
-
-    key ^= corr_key[syn]
-    return (~(known[syn] & stab_lookup[key])).view(np.uint8)
+    correct = np.zeros(1 << (len(code.generators) + 2), dtype=bool)
+    corr = np.array([(c.x, c.z) for c in ccode.table.values()], dtype=np.int64)
+    correct[_check_words(code, corr[:, 0], corr[:, 1])] = True
+    return (~correct[word]).view(np.uint8)
 
 
 def _chain_arrays(model: NoiseModel, ccode: ConcatCode):
@@ -296,9 +295,11 @@ def estimate_pf(config: SampleConfig) -> MCEstimate:
     n_blocks = len(ccode.spec.blocks)
     failures = 0
     remaining = config.shots
+    # One buffer for every chunk's draw: the same stream, no per-chunk array.
+    buffer = np.empty((min(CHUNK_SHOTS, remaining), n_blocks))
     while remaining > 0:
         m = min(CHUNK_SHOTS, remaining)
-        uniforms = rng.random((m, n_blocks))
+        uniforms = rng.random(out=buffer[:m])
         failures += _kernels.count_failures(
             uniforms,
             block_starts,

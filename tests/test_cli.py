@@ -70,6 +70,19 @@ def test_fidelity_sweep_contract(capsys):
     assert row["p"] == "0.1" and row["fe"] == "0.945568"
 
 
+@pytest.mark.parametrize(
+    "pmin, pmax, step, grid",
+    [("0", "0.1", "0.06", ["0", "0.06"]), ("0.9", "1.0", "0.15", ["0.9"])],
+)
+def test_fidelity_sweep_stops_at_the_last_point_below_pmax(capsys, pmin, pmax, step, grid):
+    code, out = run(
+        capsys, "fidelity", "sweep", "--code", "dq6", "--mu", "0",
+        "--pmin", pmin, "--pmax", pmax, "--step", step,
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == grid
+
+
 def test_fidelity_sweep_deterministic_bytes(capsys):
     args = ("fidelity", "sweep", "--code", "qd10", "--mu", "0.75",
             "--pmin", "0", "--pmax", "0.2", "--step", "0.005")

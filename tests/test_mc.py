@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -161,6 +162,76 @@ def test_block_class_counts_and_table_sizes(code_id, alphabet, classes, entries)
     assert int(_local_classes(code_id, alphabet).max()) + 1 == classes
     table = mc._failure_table(code_id, alphabet)
     assert table.dtype == np.uint8 and table.shape == (entries,)
+
+
+# sha256 of each whole failure table and of its inner block's class array,
+# as built by a coset search over the inner stabilizer group, independently
+# of check words.
+TABLE_PINS = {
+    ("qd6", Alphabet.BITFLIP): (
+        "6fa1038404fd3fb9f6fa7e8318b3d45d28e2fbf9ade453fd11f455fc2c3d710b",
+        "b64c0d4ec2af5aba75d0e38754bd4da29669e6bd54220441f3710964fdb4ece3",
+    ),
+    ("qd6", Alphabet.DEPOLARIZING3): (
+        "06b1844f202069810073bdbe5695ea96e54f518174fb21e103adde27f99aa943",
+        "09d1783e2a3311e81f60edd47c3ebe657c93b01c95d9c015985f477801b119b9",
+    ),
+    ("dq6", Alphabet.BITFLIP): (
+        "083d6ba49b8ce57767aa3dc4707ed93df58b739b1279af01881b103bf93a7252",
+        "fece8d601cd4c9020e24f9e4a47feedefb2bceff5e9798d8056aea8700052eaa",
+    ),
+    ("dq6", Alphabet.DEPOLARIZING3): (
+        "c97e564468e3692e70986689786a9969bc816cecae71b5011fbd686834860cf7",
+        "517b3f4836cf18b811d6f8a417ae7b3c3799ec5451bc9b7c6894c35f75de7ec7",
+    ),
+    ("qd10", Alphabet.BITFLIP): (
+        "9c7c7bba2e608e2a1897d59eeaca18e114cc7494f166b8b65a20adbdba11be80",
+        "b64c0d4ec2af5aba75d0e38754bd4da29669e6bd54220441f3710964fdb4ece3",
+    ),
+    ("qd10", Alphabet.DEPOLARIZING3): (
+        "5b9306e6a94765221acf09db7319028533bd982c96b5fd01f7c1b5ba66bf96d5",
+        "09d1783e2a3311e81f60edd47c3ebe657c93b01c95d9c015985f477801b119b9",
+    ),
+    ("dq10", Alphabet.BITFLIP): (
+        "b919401a7e79d713915bcaa7888c580a147565b5088886661455e43620c8c0a5",
+        "bcc9bcfc670935c6018dc26a74956a373b655f8930dd55ab074d816d7d233780",
+    ),
+    ("dq10", Alphabet.DEPOLARIZING3): (
+        "1462876cbcb4bd29707d76aae170ef74c5ea1685b885b12c67d3ace10df1f3a8",
+        "6f9a04216ce84ed3a2ef19a2010723c498d866f2bb5d6eda67ea1bd16782bfd8",
+    ),
+}
+
+
+def _sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("code_id, alphabet", list(TABLE_PINS))
+def test_whole_tables_are_pinned(code_id, alphabet):
+    inner = concat.concatenated(code_id).spec.inner
+    table = mc._failure_table(code_id, alphabet)
+    classes = mc._block_classes(inner, alphabet).classes
+    assert (table.dtype, classes.dtype) == (np.uint8, np.int64)
+    assert (_sha256(table), _sha256(classes)) == TABLE_PINS[code_id, alphabet]
+
+
+def test_tables_build_without_the_stabilizer_group(monkeypatch):
+    for code_id in concat.code_ids():
+        concat.concatenated(code_id)
+
+    def refuse(code):
+        raise AssertionError(f"stabilizer_group({code.name}) called")
+
+    monkeypatch.setattr(stabilizer, "stabilizer_group", refuse)
+    mc._block_classes.cache_clear()
+    mc._failure_table.cache_clear()
+    try:
+        for code_id, alphabet in TABLE_PINS:
+            assert _sha256(mc._failure_table(code_id, alphabet)) == TABLE_PINS[code_id, alphabet][0]
+    finally:
+        mc._block_classes.cache_clear()
+        mc._failure_table.cache_clear()
 
 
 def _block_pattern_law(model, block_size):

@@ -232,3 +232,30 @@ def test_pattern_cdf_steps_are_chain_probabilities(inner_name, alphabet, p, mu):
     steps = np.diff(pattern_cdf, prepend=0.0)
     for letters, step in zip(classes.letters.tolist(), steps):
         assert abs(step - analytic.chain_probability(model, letters)) <= 1e-15
+
+
+CHECK_WORD_CODES = ["repetition-3", "dfs-2", "knill-laflamme-5", *concat.code_ids()]
+
+
+def _check_word_code(name):
+    if name in concat.REGISTRY:
+        return concat.concatenated(name).code
+    return stabilizer.builtin(name)
+
+
+@pytest.mark.parametrize("name", CHECK_WORD_CODES)
+@given(data=st.data())
+def test_equal_check_words_iff_degenerate(name, data):
+    code = _check_word_code(name)
+    a = data.draw(pauli_strings(code.n))
+    # b is a times a drawn stabilizer element, times a drawn Pauli or not,
+    # so both degenerate and non-degenerate pairs occur.
+    subset = data.draw(st.integers(min_value=0, max_value=(1 << len(code.generators)) - 1))
+    b = a
+    for i, g in enumerate(code.generators):
+        if (subset >> i) & 1:
+            b = pauli.multiply(b, g)
+    if data.draw(st.booleans()):
+        b = pauli.multiply(b, data.draw(pauli_strings(code.n)))
+    word_a, word_b = (int(mc._check_words(code, p.x, p.z)) for p in (a, b))
+    assert (word_a == word_b) == stabilizer.are_degenerate(code, a, b)
