@@ -267,6 +267,8 @@ def _positive_float(text: str) -> float:
     value = _parse_number(text, float)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

@@ -5,6 +5,11 @@ sign lives in the characters.  A character chi's subspace is the +1 space
 of the r signed generators chi(g)*g, of dimension 2^(n-r); it is exported as
 a fully passive stabilizer code, and its basis is projected per X-orbit of
 basis states, with the dense :func:`projector` kept only as the reference.
+Characters and logical operators come from GF(2) linear algebra over packed
+(x | z) rows, with no search over group elements or candidate Paulis: chi(e)
+is the parity of e's decomposition over the generating set restricted to
+the generators chi flips, and the logical pairs come from symplectic
+Gram-Schmidt over the 2n single-qubit Paulis (:func:`_complete_logicals`).
 """
 
 from __future__ import annotations
@@ -92,17 +97,13 @@ def characters(group: AbelianErrorGroup) -> list[Character]:
     validate_group(group)
     gens = _generating_set(group)
     space = RowSpace(_row(g) for g in gens)
+    combos = [((e.x, e.z), space.decompose(_row(e))) for e in group.elements]
     out: list[Character] = []
     for signs in itertools.product((1, -1), repeat=len(gens)):
-        values: dict[tuple[int, int], int] = {}
-        for e in group.elements:
-            combo = space.decompose(_row(e))
-            chi = 1
-            for i in range(len(gens)):
-                if (combo >> i) & 1:
-                    chi *= signs[i]
-            values[(e.x, e.z)] = chi
-        out.append(Character(values))
+        flips = sum(1 << i for i, sign in enumerate(signs) if sign == -1)
+        out.append(
+            Character({key: (-1) ** (combo & flips).bit_count() for key, combo in combos})
+        )
     return out
 
 
@@ -147,7 +148,7 @@ def as_stabilizer_code(group: AbelianErrorGroup, chi: Character) -> StabilizerCo
         raise ValueError(
             f"character range has dimension {1 << k}; cannot host whole qubits"
         )
-    logical_x, logical_z = _complete_logicals(group.n, signed, k)
+    logical_x, logical_z = _complete_logicals(group.n, signed)
     return StabilizerCode(
         name=f"dfs-{group.n}" if signed else f"trivial-{group.n}",
         n=group.n,
@@ -160,59 +161,43 @@ def as_stabilizer_code(group: AbelianErrorGroup, chi: Character) -> StabilizerCo
 
 
 def _complete_logicals(
-    n: int, generators: tuple[PauliString, ...], k: int
+    n: int, generators: tuple[PauliString, ...]
 ) -> tuple[list[PauliString], list[PauliString]]:
-    """Greedy symplectic completion of the generator set to k logical pairs.
+    """Logical pairs by symplectic Gram-Schmidt; generators must be independent.
 
-    Pure-X candidates are scanned first for X_bar and pure-Z (then general)
-    candidates for Z_bar, in qubit order, so conventional representatives
-    like XI / ZZ come out for the two-qubit collective-flip group.
+    Candidates are the 2n single-qubit Paulis, X_0..X_{n-1} then
+    Z_0..Z_{n-1}.  Each generator takes the first candidate it anticommutes
+    with as its partner, and every other candidate that anticommutes with it
+    is multiplied by that partner; the partners are dropped, and what is
+    left spans the normalizer.  Those are paired in order: the first left
+    candidate is an X_bar, the first later one anticommuting with it its
+    Z_bar, and the rest become w + <w,z>x + <w,x>z so that they commute with
+    both.  A candidate left with no partner is a stabilizer and is dropped.
+    Only the two-qubit collective-flip representatives XI / ZZ (the ``dfs-2``
+    builtin) are pinned; the others are whatever this order yields.
     """
+    mask = (1 << n) - 1
 
-    def candidates(letter: str):
-        for size in range(1, n + 1):
-            for qubits in itertools.combinations(range(n), size):
-                p = pauli.identity(n)
-                for q in qubits:
-                    p = pauli.multiply(p, pauli.single(n, q, letter))
-                yield p
-        for x in range(1 << n):
-            for z in range(1 << n):
-                yield PauliString(n, x, z, 0)
+    def anticommute(a: int, b: int) -> int:
+        return (((a >> n) & b) ^ (a & (b >> n))).bit_count() & 1
 
-    span = RowSpace(_row(g) for g in generators)
+    rows = [1 << (n + q) for q in range(n)] + [1 << q for q in range(n)]
+    for g in map(_row, generators):
+        partner = next(r for r in rows if anticommute(g, r))
+        rows.remove(partner)
+        rows = [r ^ partner if anticommute(g, r) else r for r in rows]
     logical_x: list[PauliString] = []
     logical_z: list[PauliString] = []
-    for _ in range(k):
-        chosen = logical_x + logical_z
-        x_bar = next(
-            (
-                c
-                for c in candidates("X")
-                if all(pauli.commutes(c, g) for g in generators)
-                and all(pauli.commutes(c, p) for p in chosen)
-                and not span.contains(_row(c))
-            ),
-            None,
-        )
-        if x_bar is None:
-            raise ValueError("failed to complete logical X operators")
-        # Anticommuting with x_bar already guarantees independence from the
-        # span of the generators and earlier logicals, which all commute.
-        z_bar = next(
-            (
-                c
-                for c in candidates("Z")
-                if all(pauli.commutes(c, g) for g in generators)
-                and all(pauli.commutes(c, p) for p in chosen)
-                and not pauli.commutes(c, x_bar)
-            ),
-            None,
-        )
-        if z_bar is None:
-            raise ValueError("failed to complete logical Z operators")
-        span.add(_row(x_bar))
-        span.add(_row(z_bar))
-        logical_x.append(x_bar)
-        logical_z.append(z_bar)
+    while rows:
+        x = rows.pop(0)
+        z = next((r for r in rows if anticommute(x, r)), None)
+        if z is None:
+            continue
+        rows.remove(z)
+        rows = [
+            r ^ (x if anticommute(r, z) else 0) ^ (z if anticommute(r, x) else 0)
+            for r in rows
+        ]
+        logical_x.append(PauliString(n, x >> n, x & mask))
+        logical_z.append(PauliString(n, z >> n, z & mask))
     return logical_x, logical_z

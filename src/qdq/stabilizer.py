@@ -2,10 +2,14 @@
 
 A code is held as its generator list plus logical operator representatives
 and a per-generator passive mask (a passive generator is itself a corrected
-error and needs no measurement).  Group membership for classification and
-degeneracy is decided modulo phase: E_a E_b = -S acts on codewords exactly
-like S up to a global phase.  :func:`group_element_phase` reports the exact
-phase separately for auditing.
+error and needs no measurement).  Group structure is GF(2) linear algebra
+over packed (x | z) rows (:class:`RowSpace`); only :func:`stabilizer_group`
+lists the 2**r elements, for callers that need them.  Group membership for
+classification and degeneracy is decided modulo phase: E_a E_b = -S acts on
+codewords exactly like S up to a global phase.  :func:`group_element_phase`
+reports the exact phase separately, and :func:`validate` finds -I with it:
+for commuting generators, -I (or +/-i I) lies in the group iff a generator
+has phase +/-i or differs in phase from the product its bits decompose into.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .pauli import PauliString
 
 class ErrorKind(str, enum.Enum):
     STABILIZER = "stabilizer"
-    CORRECTABLE_IN_TABLE = "correctable-in-table"
     DETECTABLE = "detectable"
     LOGICAL = "logical"
 
@@ -163,20 +166,10 @@ def syndrome(code: StabilizerCode, error: PauliString) -> tuple[int, ...]:
     return tuple(0 if pauli.commutes(g, error) else 1 for g in code.generators)
 
 
-def classify(
-    code: StabilizerCode,
-    error: PauliString,
-    table: Optional[dict[tuple[int, ...], PauliString]] = None,
-) -> ErrorClassification:
-    """Classify an error as stabilizer / logical / correctable / detectable.
-
-    With a decoder table, a nonzero syndrome found in the table yields
-    CORRECTABLE_IN_TABLE; otherwise nonzero syndromes are DETECTABLE.
-    """
+def classify(code: StabilizerCode, error: PauliString) -> ErrorClassification:
+    """Classify an error as stabilizer / logical / detectable."""
     syn = syndrome(code, error)
     if any(syn):
-        if table is not None and syn in table:
-            return ErrorClassification(ErrorKind.CORRECTABLE_IN_TABLE, syn)
         return ErrorClassification(ErrorKind.DETECTABLE, syn)
     if in_stabilizer_group(code, error):
         return ErrorClassification(ErrorKind.STABILIZER, syn)
@@ -207,12 +200,11 @@ def validate(code: StabilizerCode) -> ValidationReport:
             f"generator count {len(gens)} does not equal n-k = {code.n - code.k}"
         )
 
-    # -I in the group would show up as a nonzero phase on a bit-trivial
-    # product; exhaustive over the group at desk scale.
-    for element in stabilizer_group(code):
-        if element.x == 0 and element.z == 0 and element.phase != 0:
-            failures.append("-I (or +/-i I) lies in the generated group")
-            break
+    # A phase +/-i generator squares to -I.  Otherwise every bit-trivial
+    # product is a product of the relations "dependent generator times the
+    # product its bits decompose into", so one of them carries any -I.
+    if any(g.phase % 2 or group_element_phase(code, g) for g in gens):
+        failures.append("-I (or +/-i I) lies in the generated group")
 
     for label, ops in (("logical_x", code.logical_x), ("logical_z", code.logical_z)):
         if len(ops) != code.k:

@@ -212,6 +212,8 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
     [
         (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "0"), "--step"),
         (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "-0.1"), "--step"),
+        (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "inf"), "--step"),
+        (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "nan"), "--step"),
         (SWEEP + ("--pmin", "0.3", "--pmax", "0.1", "--step", "0.1"), "--pmin"),
         (("threshold", "--code", "dq6", "--depth", "0"), "--depth"),
         (("verify", "--suite", "codewords", "--code", "nonexistent"), "--code"),
@@ -226,7 +228,7 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
         # Checked before any curve is evaluated, so no large sweep starts.
         (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "1e-9"), "--step"),
     ],
-    ids=["step-zero", "step-negative", "pmin-above-pmax", "depth-zero",
+    ids=["step-zero", "step-negative", "step-inf", "step-nan", "pmin-above-pmax", "depth-zero",
          "verify-unknown-code", "p-above-one", "shots-not-integer",
          "concat-unknown-outer", "concat-unknown-inner", "dfs-character-out-of-range",
          "dfs-elements-bad-letter", "dfs-elements-no-identity",

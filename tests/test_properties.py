@@ -259,3 +259,50 @@ def test_equal_check_words_iff_degenerate(name, data):
         b = pauli.multiply(b, data.draw(pauli_strings(code.n)))
     word_a, word_b = (int(mc._check_words(code, p.x, p.z)) for p in (a, b))
     assert (word_a == word_b) == stabilizer.are_degenerate(code, a, b)
+
+
+MINUS_I = "-I (or +/-i I) lies in the generated group"
+
+
+def _closure_has_minus_identity(gens) -> bool:
+    """Reference: close the set under products, squares included, and look
+    for a bit-trivial element with a nonzero phase."""
+    elements = set(gens)
+    frontier = list(gens)
+    while frontier:
+        a = frontier.pop()
+        for b in list(elements):
+            for product in (pauli.multiply(a, b), pauli.multiply(b, a)):
+                if product not in elements:
+                    elements.add(product)
+                    frontier.append(product)
+    return any(e.x == 0 and e.z == 0 and e.phase != 0 for e in elements)
+
+
+@st.composite
+def commuting_generators(draw):
+    """Up to 2n mutually commuting Paulis on n <= 4 qubits, phases 0-3;
+    repeats and dependent rows are kept, since they carry the relations."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    drawn = draw(st.lists(st.tuples(masks, masks, st.integers(0, 3)), max_size=2 * n))
+    gens: list[pauli.PauliString] = []
+    for x, z, phase in drawn:
+        p = pauli.PauliString(n, x, z, phase)
+        if all(pauli.commutes(p, g) for g in gens):
+            gens.append(p)
+    return [pauli.format_pauli(g) for g in gens]
+
+
+@given(texts=commuting_generators())
+@example(texts=["XX", "ZZ", "YY"])  # XX * ZZ = -YY
+@example(texts=["XX", "ZZ", "-YY"])
+@example(texts=["iXX"])  # (iXX)**2 = -I, though iXX is the only non-identity element
+def test_validate_finds_minus_identity_exactly_when_the_closure_does(texts):
+    gens = tuple(pauli.parse(t) for t in texts)
+    n = gens[0].n if gens else 1
+    code = stabilizer.StabilizerCode(
+        "drawn", n, 0, gens, (), (), (False,) * len(gens)
+    )
+    flagged = MINUS_I in stabilizer.validate(code).failures
+    assert flagged == _closure_has_minus_identity(gens)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qdq import concat, pauli, stabilizer
+from qdq import concat, dfs, pauli, stabilizer
 from qdq.stabilizer import ErrorKind
 
 
@@ -104,10 +104,10 @@ def test_classify_examples():
 
 def test_classify_with_decoder_table():
     cc = concat.concatenated("qd6")
-    got = stabilizer.classify(cc.code, pauli.parse("XIIIII"), cc.table)
-    assert got.kind is ErrorKind.CORRECTABLE_IN_TABLE
-    got = stabilizer.classify(cc.code, pauli.parse("ZIIIII"), cc.table)
-    assert got.kind is ErrorKind.DETECTABLE
+    got = stabilizer.classify(cc.code, pauli.parse("XIIIII"))
+    assert got.kind is ErrorKind.DETECTABLE and got.syndrome in cc.table
+    got = stabilizer.classify(cc.code, pauli.parse("ZIIIII"))
+    assert got.kind is ErrorKind.DETECTABLE and got.syndrome not in cc.table
 
 
 def test_classify_membership_matches_product_enumeration():
@@ -186,3 +186,28 @@ def test_group_element_phase_diagnostic():
     assert stabilizer.group_element_phase(qd6, pauli.parse("YYZZII")) == 2
     assert stabilizer.group_element_phase(qd6, pauli.parse("XXIIII")) == 0
     assert stabilizer.group_element_phase(qd6, pauli.parse("ZZIIII")) is None
+
+
+def test_structure_comes_without_group_walk_or_candidate_search(monkeypatch):
+    codes = [stabilizer.builtin(name) for name in stabilizer.builtin_names()]
+    codes += [concat.concatenated(cid).code for cid in concat.code_ids()]
+    kl5 = stabilizer.builtin("knill-laflamme-5")
+    spec = concat.make_spec(kl5, kl5, concat.Order.QD)
+    codes.append(concat.concatenated_code(spec, concat.build_generators(spec)))
+    flip = dfs.AbelianErrorGroup.from_strings(["II", "XX"])
+    n = 12
+    collective = dfs.AbelianErrorGroup.from_strings(["I" * n, "X" * n, "Y" * n, "Z" * n])
+    exports = [(flip, chi) for chi in dfs.characters(flip)]
+    exports.append((collective, dfs.characters(collective)[0]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group walk or candidate search")
+
+    monkeypatch.setattr(stabilizer, "stabilizer_group", refuse)
+    for code in codes:
+        assert stabilizer.validate(code).valid, code.name
+    # Single-qubit candidate products were the old logical search.
+    monkeypatch.setattr(pauli, "single", refuse)
+    for group, chi in exports:
+        code = dfs.as_stabilizer_code(group, chi)
+        assert stabilizer.validate(code).valid
