@@ -180,19 +180,22 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     )
     model = NoiseModel(args.p, args.mu, alphabet)
     config = mc.SampleConfig(model, args.code, args.shots, args.seed)
-    report = mc.compare(config, mc.analytic_reference(args.code, model))
+    analytic_pf = mc.analytic_reference(args.code, model)
+    estimate = mc.estimate_pf(config)
+    z = math.nan if analytic_pf is None else mc.compare(config, analytic_pf, estimate).z
     payload = {
         "code": args.code,
         "p": args.p,
         "mu": args.mu,
         "alphabet": alphabet.value,
-        "pf_hat": report.estimate.pf_hat,
-        "stderr": report.estimate.stderr,
+        "pf_hat": estimate.pf_hat,
+        "stderr": estimate.stderr,
         "shots": args.shots,
         "seed": args.seed,
-        "analytic": report.analytic,
-        # Infinite when stderr is 0 and pf_hat differs from the analytic value.
-        "z": report.z if math.isfinite(report.z) else None,
+        "analytic": analytic_pf,
+        # nan with no analytic value (an off-record alphabet); infinite when
+        # stderr is 0 and pf_hat differs from the analytic value.
+        "z": z if math.isfinite(z) else None,
     }
     _emit_json(payload, args.out)
     return 0

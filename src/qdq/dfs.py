@@ -10,10 +10,12 @@ Characters and logical operators come from GF(2) linear algebra over packed
 is the parity of e's decomposition over the generating set restricted to
 the generators chi flips, and the logical pairs come from symplectic
 Gram-Schmidt over the 2n single-qubit Paulis (:func:`_complete_logicals`).
+A group is validated once, when it is built, from its r generators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,16 +34,28 @@ class AbelianErrorGroup:
     n: int
     elements: tuple[PauliString, ...]
 
+    def __post_init__(self) -> None:
+        validate_group(self)
+
     @staticmethod
     def from_strings(texts: Sequence[str]) -> "AbelianErrorGroup":
         elements = tuple(pauli.parse(t) for t in texts)
-        group = AbelianErrorGroup(elements[0].n, elements)
-        validate_group(group)
-        return group
+        return AbelianErrorGroup(elements[0].n, elements)
+
+    @functools.cached_property
+    def generators(self) -> tuple[PauliString, ...]:
+        """Each element independent of the earlier ones, in element order."""
+        space = RowSpace([])
+        return tuple(e for e in self.elements if space.add(_row(e)))
 
 
 def validate_group(group: AbelianErrorGroup) -> None:
-    """Raise ValueError on any structural violation."""
+    """Raise ValueError on any structural violation; run at construction.
+
+    Past the per-element checks, only the 2^r generator products a*g are
+    built, one multiply each.  An odd phase means a and g anticommute; if all
+    are phase-free elements, the distinct elements are their span, so closed.
+    """
     elems = group.elements
     keys = {(e.x, e.z) for e in elems}
     if len(keys) != len(elems):
@@ -55,17 +69,20 @@ def validate_group(group: AbelianErrorGroup) -> None:
             raise ValueError(f"element {e} does not act on {group.n} qubits")
         if e.phase != 0:
             raise ValueError(f"element {e} carries a phase; store elements sign-free")
-    for a, b in itertools.combinations(elems, 2):
-        if not pauli.commutes(a, b):
-            raise ValueError(f"elements {a} and {b} anticommute")
-        product = pauli.multiply(a, b)
-        if (product.x, product.z) not in keys:
-            raise ValueError(f"product {a}*{b} leaves the element set")
-        if product.phase != 0:
-            raise ValueError(
-                f"product {a}*{b} = {product} picks up a phase; "
-                "not a valid sign-free error group"
-            )
+    products = [pauli.identity(group.n)]
+    for g in group.generators:
+        for a in list(products):
+            product = pauli.multiply(a, g)
+            if product.phase % 2:
+                raise ValueError(f"elements {a} and {g} anticommute")
+            if (product.x, product.z) not in keys:
+                raise ValueError(f"product {a}*{g} leaves the element set")
+            if product.phase != 0:
+                raise ValueError(
+                    f"product {a}*{g} = {product} picks up a phase; "
+                    "not a valid sign-free error group"
+                )
+            products.append(product)
 
 
 @dataclass(frozen=True)
@@ -81,25 +98,12 @@ class Character:
         return tuple(self.value(g) for g in group.elements)
 
 
-def _generating_set(group: AbelianErrorGroup) -> list[PauliString]:
-    space = RowSpace([])
-    gens: list[PauliString] = []
-    for e in group.elements:
-        if e.x == 0 and e.z == 0:
-            continue
-        if space.add(_row(e)):
-            gens.append(e)
-    return gens
-
-
 def characters(group: AbelianErrorGroup) -> list[Character]:
     """All sign characters, the trivial (all +1) one first."""
-    validate_group(group)
-    gens = _generating_set(group)
-    space = RowSpace(_row(g) for g in gens)
+    space = RowSpace(_row(g) for g in group.generators)
     combos = [((e.x, e.z), space.decompose(_row(e))) for e in group.elements]
     out: list[Character] = []
-    for signs in itertools.product((1, -1), repeat=len(gens)):
+    for signs in itertools.product((1, -1), repeat=space.rank):
         flips = sum(1 << i for i, sign in enumerate(signs) if sign == -1)
         out.append(
             Character({key: (-1) ** (combo & flips).bit_count() for key, combo in combos})
@@ -108,11 +112,8 @@ def characters(group: AbelianErrorGroup) -> list[Character]:
 
 
 def _signed_generators(group: AbelianErrorGroup, chi: Character) -> tuple[PauliString, ...]:
-    """chi(g)*g over a generating set; their joint +1 eigenspace is chi's."""
-    return tuple(
-        PauliString(g.n, g.x, g.z, 0 if chi.value(g) == 1 else 2)
-        for g in _generating_set(group)
-    )
+    """chi(g)*g = i**(1 - chi(g)) g over the generators; their +1 space is chi's."""
+    return tuple(PauliString(g.n, g.x, g.z, 1 - chi.value(g)) for g in group.generators)
 
 
 def projector(group: AbelianErrorGroup, chi: Character) -> np.ndarray:
@@ -126,12 +127,14 @@ def df_basis(group: AbelianErrorGroup, chi: Character) -> list[np.ndarray]:
 
     P g = chi(g) P, so P|i> is proportional across the X-orbit {i ^ xmask(g)}
     and orbits have disjoint support: the basis is P|i>, normalized, for each
-    orbit's least index i, ascending, with P|i> != 0.  All amplitudes are
-    dyadic, so a killed orbit projects to exactly zero.
+    orbit's least index i, ascending, with P|i> != 0.  i is least in its
+    orbit iff no bit of i is a pivot of the echelonized generator X masks.
+    All amplitudes are dyadic, so a killed orbit projects to exactly zero.
     """
     signed = _signed_generators(group, chi)
-    x_masks = {statevec._index_masks(g)[0] for g in group.elements}
-    least = (i for i in range(1 << group.n) if all(i ^ m >= i for m in x_masks))
+    x_space = RowSpace(statevec._index_masks(g)[0] for g in group.generators)
+    pivots = sum(1 << pivot for pivot, _, _ in x_space.basis)
+    least = (i for i in range(1 << group.n) if not i & pivots)
     images = (statevec.project(statevec.basis_state(group.n, i), signed) for i in least)
     return [image / np.linalg.norm(image) for image in images if image.any()]
 

@@ -355,6 +355,9 @@ def compare(
     )
 
 
-def analytic_reference(code_id: str, model: NoiseModel) -> float:
-    """The matching closed-form failure probability for an MC config."""
+def analytic_reference(code_id: str, model: NoiseModel) -> Optional[float]:
+    """The matching closed-form failure probability for an MC config, or
+    None off the record's alphabet, which the recursion does not describe."""
+    if model.alphabet is not default_alphabet(code_id):
+        return None
     return analytic.code_failure(code_id)(model.mu, model.p)

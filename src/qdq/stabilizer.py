@@ -64,6 +64,10 @@ class StabilizerCode:
     def generator_strings(self) -> list[str]:
         return [str(g) for g in self.generators]
 
+    @functools.cached_property
+    def row_space(self) -> RowSpace:
+        return RowSpace(_row(g) for g in self.generators)
+
 
 # ---------------------------------------------------------------------------
 # GF(2) row spaces over packed (x | z) rows
@@ -107,26 +111,22 @@ class RowSpace:
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, row: int) -> bool:
-        reduced, _ = self._reduce(row, 0)
-        return reduced == 0
-
     def decompose(self, row: int) -> Optional[int]:
         """Bit mask over input rows whose XOR equals ``row``, or None."""
         reduced, combo = self._reduce(row, 0)
         return combo if reduced == 0 else None
 
 
-@functools.lru_cache(maxsize=None)
-def _generator_space(generators: tuple[PauliString, ...]) -> RowSpace:
-    return RowSpace(_row(g) for g in generators)
+def _decompose(code: StabilizerCode, error: PauliString) -> Optional[int]:
+    """Generator bit mask whose product has the error's bits, or None."""
+    if error.n != code.n:
+        raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
+    return code.row_space.decompose(_row(error))
 
 
 def in_stabilizer_group(code: StabilizerCode, error: PauliString) -> bool:
     """Membership in the generated group, modulo phase."""
-    if error.n != code.n:
-        raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return _generator_space(code.generators).contains(_row(error))
+    return _decompose(code, error) is not None
 
 
 def group_element_phase(code: StabilizerCode, error: PauliString) -> Optional[int]:
@@ -136,7 +136,7 @@ def group_element_phase(code: StabilizerCode, error: PauliString) -> Optional[in
     generators with the same bit pattern, or None if the bits are not in
     the group.  e == 0 means the error literally is a stabilizer element.
     """
-    combo = _generator_space(code.generators).decompose(_row(error))
+    combo = _decompose(code, error)
     if combo is None:
         return None
     product = pauli.identity(code.n)
@@ -190,7 +190,7 @@ def validate(code: StabilizerCode) -> ValidationReport:
         if not pauli.commutes(a, b):
             failures.append(f"generators {i} and {j} anticommute: {a} vs {b}")
 
-    space = _generator_space(gens)
+    space = code.row_space
     if space.rank != len(gens):
         failures.append(
             f"generators are dependent: rank {space.rank} < {len(gens)} rows"
@@ -213,7 +213,7 @@ def validate(code: StabilizerCode) -> ValidationReport:
             for j, g in enumerate(gens):
                 if not pauli.commutes(op, g):
                     failures.append(f"{label}[{i}] anticommutes with generator {j}")
-            if space.contains(_row(op)):
+            if space.decompose(_row(op)) is not None:
                 failures.append(f"{label}[{i}] lies in the stabilizer group")
 
     for i, lx in enumerate(code.logical_x):
@@ -222,14 +222,10 @@ def validate(code: StabilizerCode) -> ValidationReport:
             if pauli.commutes(lx, lz) == expected:
                 rel = "must anticommute with" if expected else "must commute with"
                 failures.append(f"logical_x[{i}] {rel} logical_z[{j}]")
-    for i, a in enumerate(code.logical_x):
-        for j, b in enumerate(code.logical_x):
-            if i < j and not pauli.commutes(a, b):
-                failures.append(f"logical_x[{i}] anticommutes with logical_x[{j}]")
-    for i, a in enumerate(code.logical_z):
-        for j, b in enumerate(code.logical_z):
-            if i < j and not pauli.commutes(a, b):
-                failures.append(f"logical_z[{i}] anticommutes with logical_z[{j}]")
+    for label, ops in (("logical_x", code.logical_x), ("logical_z", code.logical_z)):
+        for (i, a), (j, b) in itertools.combinations(enumerate(ops), 2):
+            if not pauli.commutes(a, b):
+                failures.append(f"{label}[{i}] anticommutes with {label}[{j}]")
 
     return ValidationReport(not failures, tuple(failures))
 

@@ -166,6 +166,15 @@ def test_mc_run_emits_strict_json_when_z_is_infinite(capsys):
     assert payload["z"] is None
 
 
+def test_mc_run_off_the_record_alphabet_has_no_analytic_value(capsys):
+    payload = run_json(
+        capsys, "mc", "run", "--code", "qd6", "--p", "0.1", "--mu", "0.5",
+        "--alphabet", "depolarizing3", "--shots", "2000", "--seed", "7",
+    )
+    assert payload["alphabet"] == "depolarizing3" and payload["pf_hat"] > 0.0
+    assert payload["analytic"] is None and payload["z"] is None
+
+
 def test_non_finite_json_value_is_an_exit_one_error(capsys, monkeypatch):
     monkeypatch.setattr(cli.mc, "analytic_reference", lambda code_id, model: float("nan"))
     code = cli.main(["mc", "run", "--code", "qd6", "--p", "0.1", "--mu", "0",

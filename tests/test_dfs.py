@@ -71,6 +71,108 @@ def test_group_validation_rejects_bad_inputs():
         dfs.AbelianErrorGroup.from_strings(["III", "XXI", "IXX"])
 
 
+def test_direct_construction_validates():
+    xi, zi, yi = (pauli.parse(t) for t in ("XI", "ZI", "YI"))
+    with pytest.raises(ValueError, match="anticommute"):
+        dfs.AbelianErrorGroup(2, (pauli.identity(2), xi, zi, yi))
+    with pytest.raises(ValueError, match="identity"):
+        dfs.AbelianErrorGroup(2, (xi,))
+    with pytest.raises(ValueError, match="does not act on 3 qubits"):
+        dfs.AbelianErrorGroup(3, (pauli.identity(2), pauli.parse("XX")))
+
+
+def _big_group_texts():
+    """Z_0..Z_7, XX on qubits 8-9 and on 10-11: 1,024 elements on 12 qubits."""
+    n = 12
+    generators = [(0, 1 << q) for q in range(8)] + [(0b11 << 8, 0), (0b11 << 10, 0)]
+    keys = [(0, 0)]
+    for gx, gz in generators:
+        keys += [(x ^ gx, z ^ gz) for x, z in keys]
+    return [pauli.format_pauli(pauli.PauliString(n, x, z)) for x, z in keys]
+
+
+def test_group_is_checked_from_generators_only(monkeypatch):
+    calls = []
+    multiply = pauli.multiply
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(pauli, "multiply", counted)
+    group = dfs.AbelianErrorGroup.from_strings(_big_group_texts())
+    chars = dfs.characters(group)
+    assert len(group.elements) == len(chars) == 1024
+    assert len(calls) <= len(group.elements) - 1
+    assert len(group.generators) == 10
+
+    def refuse(group):
+        raise AssertionError("group validated again")
+
+    klein = dfs.AbelianErrorGroup.from_strings(["IIII", "XXII", "IIXX", "XXXX"])
+    monkeypatch.setattr(dfs, "validate_group", refuse)
+    for chi in dfs.characters(klein):
+        assert len(dfs.df_basis(klein, chi)) == 4
+        assert dfs.as_stabilizer_code(klein, chi).k == 2
+
+
+def _pairwise_closure_accepts(n, elements):
+    """Reference: the element-by-element check, every pair multiplied."""
+    keys = {(e.x, e.z) for e in elements}
+    if len(keys) != len(elements) or (0, 0) not in keys or len(keys) & (len(keys) - 1):
+        return False
+    if any(e.n != n or e.phase for e in elements):
+        return False
+    for a, b in itertools.combinations(elements, 2):
+        product = pauli.multiply(a, b)
+        if not pauli.commutes(a, b) or (product.x, product.z) not in keys or product.phase:
+            return False
+    return True
+
+
+@st.composite
+def element_lists(draw):
+    """The span of drawn commuting Paulis on n <= 4 qubits, stored sign-free
+    (its products may still carry a phase), then mutated: up to two elements
+    dropped, one sign flipped, up to two arbitrary Paulis added, shuffled."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    paulis = st.builds(lambda x, z: pauli.PauliString(n, x, z), masks, masks)
+    keys = [(0, 0)]
+    generators = []
+    for p in draw(st.lists(paulis, max_size=n)):
+        if all(pauli.commutes(p, g) for g in generators) and (p.x, p.z) not in keys:
+            generators.append(p)
+            keys += [(x ^ p.x, z ^ p.z) for x, z in keys]
+    elements = [pauli.PauliString(n, x, z) for x, z in keys]
+    indices = st.integers(min_value=0, max_value=len(elements) - 1)
+    dropped = draw(st.sets(indices, max_size=2))
+    flipped = draw(st.sets(indices, max_size=1))
+    elements = [
+        pauli.PauliString(n, e.x, e.z, 2 if i in flipped else 0)
+        for i, e in enumerate(elements)
+        if i not in dropped
+    ]
+    elements += draw(st.lists(paulis, max_size=2))
+    return n, draw(st.permutations(elements))
+
+
+@given(case=element_lists())
+@example(case=(2, [pauli.parse(t) for t in ("II", "XX", "ZZ", "YY")]))  # XX*ZZ = -YY
+@example(case=(2, [pauli.parse(t) for t in ("II", "XX", "ZZ", "-YY")]))  # a signed element
+@example(case=(2, [pauli.parse(t) for t in ("XX", "II", "IX", "XI")]))
+@example(case=(2, [pauli.parse(t) for t in ("II", "XI", "IX", "XX", "ZZ")]))
+@example(case=(1, []))
+def test_validation_agrees_with_pairwise_closure(case):
+    n, elements = case
+    try:
+        dfs.AbelianErrorGroup(n, tuple(elements))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _pairwise_closure_accepts(n, elements)
+
+
 def test_projector_matches_half_sum(flip_group, flip_chars):
     plus, minus = flip_chars
     eye = np.eye(4)

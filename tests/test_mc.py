@@ -503,6 +503,12 @@ def test_unseen_syndromes_fail_for_off_alphabet_errors():
     assert est.pf_hat > bitflip_pf
 
 
+def test_analytic_reference_only_on_the_record_alphabet():
+    assert mc.analytic_reference("qd6", NoiseModel(0.1, 0.5, Alphabet.BITFLIP)) > 0.0
+    assert mc.analytic_reference("qd6", NoiseModel(0.1, 0.5, Alphabet.DEPOLARIZING3)) is None
+    assert mc.analytic_reference("qd10", NoiseModel(0.1, 0.5, Alphabet.BITFLIP)) is None
+
+
 def test_mu_one_dq6_under_innermost_block_reading():
     # Blocks are independent even at mu = 1, so exactly-one-collective-flip
     # events fail; the closed-form per-block recursion stays exact.

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -186,6 +188,30 @@ def test_group_element_phase_diagnostic():
     assert stabilizer.group_element_phase(qd6, pauli.parse("YYZZII")) == 2
     assert stabilizer.group_element_phase(qd6, pauli.parse("XXIIII")) == 0
     assert stabilizer.group_element_phase(qd6, pauli.parse("ZZIIII")) is None
+
+
+def test_row_lookup_checks_the_error_length():
+    code = stabilizer.StabilizerCode(
+        "zi", 2, 1, (pauli.parse("ZI"),), (pauli.parse("IX"),), (pauli.parse("IZ"),), (False,)
+    )
+    assert stabilizer.group_element_phase(code, pauli.parse("ZI")) == 0
+    for lookup in (stabilizer.group_element_phase, stabilizer.in_stabilizer_group):
+        with pytest.raises(ValueError, match="acts on 1 qubits, code has 2"):
+            lookup(code, pauli.parse("Z"))
+
+
+def test_dropped_code_leaves_nothing_alive():
+    generator = pauli.parse("ZZI")
+    code = stabilizer.StabilizerCode(
+        "rep", 3, 1, (generator, pauli.parse("ZIZ")),
+        (pauli.parse("XXX"),), (pauli.parse("ZII"),), (False, False),
+    )
+    assert stabilizer.validate(code).valid
+    assert stabilizer.in_stabilizer_group(code, pauli.parse("IZZ"))
+    alive = weakref.ref(generator)
+    del code, generator
+    gc.collect()
+    assert alive() is None
 
 
 def test_structure_comes_without_group_walk_or_candidate_search(monkeypatch):
