@@ -9,8 +9,11 @@ infinite z-score as null, and any other non-finite value is an exit-1
 error rather than an invalid document.  A ``fidelity sweep`` of more than
 ``MAX_SWEEP_ROWS`` (1,000,000) rows, counted as (pmax - pmin) / step + 1,
 is a usage error, and so is a ``dfs build`` group on more than
-``statevec.MAX_QUBITS`` (12) qubits.  Code ids, curve variants and the variant
-``table1`` reports come from :data:`qdq.concat.REGISTRY`.
+``statevec.MAX_QUBITS`` (12) qubits or printing more than ``MAX_DFS_PAIRS``
+(4^10) amplitude pairs, and a ``concat build`` listing more than
+``concat.MAX_CORRECTABLE`` (65,536) correctable errors.  Code ids, curve
+variants and the variant ``table1`` reports come from
+:data:`qdq.concat.REGISTRY`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from .analytic import Alphabet, NoiseModel
 
 # Most rows one ``fidelity sweep`` may emit: (pmax - pmin) / step + 1.
 MAX_SWEEP_ROWS = 1_000_000
+
+# Most [re, im] pairs one ``dfs build`` may print: 2^n per basis vector, 2^n
+# vectors over all characters.  4^10 is a 10-qubit full build, about 7 s and
+# 512 MB; an 11-qubit one needs --character.
+MAX_DFS_PAIRS = 4**10
 
 
 class _UsageError(ValueError):
@@ -79,10 +87,15 @@ def _cmd_codes(args: argparse.Namespace) -> int:
 
 
 def _cmd_concat(args: argparse.Namespace) -> int:
+    outer, inner = stabilizer.builtin(args.outer), stabilizer.builtin(args.inner)
     order = concat.Order(args.order)
-    cc = concat.build(
-        stabilizer.builtin(args.outer), stabilizer.builtin(args.inner), order
-    )
+    count = concat.correctable_count(concat.make_spec(outer, inner, order))
+    if count > concat.MAX_CORRECTABLE:
+        raise _UsageError(
+            f"--outer {args.outer} --inner {args.inner} --order {args.order} lists {count} "
+            f"correctable errors; the cap is {concat.MAX_CORRECTABLE}"
+        )
+    cc = concat.build(outer, inner, order)
     phi, phi_prime = concat.hamming_efficiency(
         cc.equivalence, cc.spec.n_cc, cc.spec.k_cc
     )
@@ -115,6 +128,13 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
     chars = dfs.characters(group)
     if args.character is not None and not 0 <= args.character < len(chars):
         raise _UsageError(f"--character {args.character} outside [0, {len(chars)})")
+    vectors = 1 << group.n if args.character is None else (1 << group.n) // len(chars)
+    if vectors << group.n > MAX_DFS_PAIRS:
+        raise _UsageError(
+            f"--elements: {vectors} basis vectors of {1 << group.n} amplitudes are "
+            f"{vectors << group.n} pairs; the cap is {MAX_DFS_PAIRS} "
+            "(--character picks one subspace)"
+        )
     payload = {
         "n": group.n,
         "elements": [str(g) for g in group.elements],

@@ -11,7 +11,9 @@ inside; DQ is the reverse.  The construction yields, per trait:
 * a syndrome-keyed decoder table with one entry per set.
 
 Structural assembly supports inner codes with k = 1; size arithmetic is
-general.
+general.  :func:`correctable_count` gives the equivalence class's size
+before any product is formed; the CLI refuses a build above
+:data:`MAX_CORRECTABLE`.
 """
 
 from __future__ import annotations
@@ -237,6 +239,24 @@ def equivalence_classes(spec: ConcatSpec) -> EquivalenceClass:
         for op in _blockwise_products([correctable_errors(inner)] * outer.n):
             sets.append((op, *(pauli.multiply(p, op) for p in partners)))
     return EquivalenceClass(tuple(sets))
+
+
+# Most correctable errors ``concat build`` enumerates.  The other built-in
+# pairs need at most 16,384; knill-laflamme-5 with itself needs 16,777,216 in
+# either order, minutes and gigabytes.
+MAX_CORRECTABLE = 65_536
+
+
+def correctable_count(spec: ConcatSpec) -> int:
+    """``equivalence_classes(spec).total_elements``, without forming a product.
+
+    QD: each outer-correctable error's set lifts every block through all
+    2^r_inner realizations.  DQ: each tuple of inner-correctable errors is
+    paired with its images under the 2^r_outer - 1 nontrivial outer stabilizers.
+    """
+    if spec.order is Order.QD:
+        return len(correctable_errors(spec.outer)) << (len(spec.inner.generators) * spec.outer.n)
+    return len(correctable_errors(spec.inner)) ** spec.outer.n << len(spec.outer.generators)
 
 
 Efficiency = Union[Fraction, float]

@@ -1,15 +1,14 @@
 """Decoherence-free subspaces of Abelian Pauli error groups.
 
 Supported groups are elementary Abelian 2-groups stored phase-free; every
-sign lives in the characters.  A character chi's subspace is the +1 space
-of the r signed generators chi(g)*g, of dimension 2^(n-r); it is exported as
-a fully passive stabilizer code, and its basis is projected per X-orbit of
-basis states, with the dense :func:`projector` kept only as the reference.
-Characters and logical operators come from GF(2) linear algebra over packed
-(x | z) rows, with no search over group elements or candidate Paulis: chi(e)
-is the parity of e's decomposition over the generating set restricted to
-the generators chi flips, and the logical pairs come from symplectic
-Gram-Schmidt over the 2n single-qubit Paulis (:func:`_complete_logicals`).
+sign lives in the characters, each kept as its r signs on the generators
+(flip bits): chi(e) is the parity of the flipped generators in e's
+decomposition.  chi's subspace is the +1 space of the r signed generators
+chi(g)*g, of dimension 2^(n-r); it is exported as a fully passive stabilizer
+code, and its basis is projected from one basis state per surviving X-orbit,
+with the dense :func:`projector` kept only as the reference.  Characters,
+orbits and logical pairs (symplectic Gram-Schmidt, :func:`_complete_logicals`)
+are GF(2) linear algebra over packed rows, with no search over elements.
 A group is validated once, when it is built, from its r generators.
 """
 
@@ -18,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +46,10 @@ class AbelianErrorGroup:
         """Each element independent of the earlier ones, in element order."""
         space = RowSpace([])
         return tuple(e for e in self.elements if space.add(_row(e)))
+
+    @functools.cached_property
+    def row_space(self) -> RowSpace:
+        return RowSpace(_row(g) for g in self.generators)
 
 
 def validate_group(group: AbelianErrorGroup) -> None:
@@ -87,33 +90,29 @@ def validate_group(group: AbelianErrorGroup) -> None:
 
 @dataclass(frozen=True)
 class Character:
-    """Multiplicative sign character: a map from group elements to +/-1."""
+    """Sign character of a group: bit i of ``flips`` means chi(generators[i]) = -1."""
 
-    values: Mapping[tuple[int, int], int]
+    group: AbelianErrorGroup
+    flips: int
 
     def value(self, element: PauliString) -> int:
-        return self.values[(element.x, element.z)]
+        return (-1) ** (self.group.row_space.decompose(_row(element)) & self.flips).bit_count()
 
     def signs(self, group: AbelianErrorGroup) -> tuple[int, ...]:
         return tuple(self.value(g) for g in group.elements)
 
 
 def characters(group: AbelianErrorGroup) -> list[Character]:
-    """All sign characters, the trivial (all +1) one first."""
-    space = RowSpace(_row(g) for g in group.generators)
-    combos = [((e.x, e.z), space.decompose(_row(e))) for e in group.elements]
-    out: list[Character] = []
-    for signs in itertools.product((1, -1), repeat=space.rank):
-        flips = sum(1 << i for i, sign in enumerate(signs) if sign == -1)
-        out.append(
-            Character({key: (-1) ** (combo & flips).bit_count() for key, combo in combos})
-        )
-    return out
+    """All 2^r sign characters, generator 0's sign slowest: the trivial one first."""
+    sign_tuples = itertools.product((1, -1), repeat=len(group.generators))
+    return [Character(group, sum(1 << i for i, s in enumerate(t) if s < 0)) for t in sign_tuples]
 
 
 def _signed_generators(group: AbelianErrorGroup, chi: Character) -> tuple[PauliString, ...]:
     """chi(g)*g = i**(1 - chi(g)) g over the generators; their +1 space is chi's."""
-    return tuple(PauliString(g.n, g.x, g.z, 1 - chi.value(g)) for g in group.generators)
+    return tuple(
+        PauliString(g.n, g.x, g.z, 2 * (chi.flips >> i & 1)) for i, g in enumerate(group.generators)
+    )
 
 
 def projector(group: AbelianErrorGroup, chi: Character) -> np.ndarray:
@@ -127,16 +126,20 @@ def df_basis(group: AbelianErrorGroup, chi: Character) -> list[np.ndarray]:
 
     P g = chi(g) P, so P|i> is proportional across the X-orbit {i ^ xmask(g)}
     and orbits have disjoint support: the basis is P|i>, normalized, for each
-    orbit's least index i, ascending, with P|i> != 0.  i is least in its
-    orbit iff no bit of i is a pivot of the echelonized generator X masks.
-    All amplitudes are dyadic, so a killed orbit projects to exactly zero.
+    orbit's least index i, ascending, with P|i> != 0.  Over the echelonized
+    generator rows (xmask | zmask), i is least iff it has no X pivot bit, and
+    P|i> != 0 iff chi(h) = (-1)^|i & h| on each X-free row h.
     """
+    n = group.n
+    space = RowSpace((xm << n) | zm for xm, zm in map(statevec._index_masks, group.generators))
+    index = np.arange(1 << n)
+    keep = index & (sum(1 << pivot for pivot, _, _ in space.basis) >> n) == 0
+    for pivot, row, combo in space.basis:
+        if pivot < n:
+            keep &= np.bitwise_count(index & row) % 2 == (combo & chi.flips).bit_count() % 2
     signed = _signed_generators(group, chi)
-    x_space = RowSpace(statevec._index_masks(g)[0] for g in group.generators)
-    pivots = sum(1 << pivot for pivot, _, _ in x_space.basis)
-    least = (i for i in range(1 << group.n) if not i & pivots)
-    images = (statevec.project(statevec.basis_state(group.n, i), signed) for i in least)
-    return [image / np.linalg.norm(image) for image in images if image.any()]
+    images = (statevec.project(statevec.basis_state(n, i), signed) for i in np.flatnonzero(keep))
+    return [image / np.linalg.norm(image) for image in images]
 
 
 def as_stabilizer_code(group: AbelianErrorGroup, chi: Character) -> StabilizerCode:

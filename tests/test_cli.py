@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -45,6 +46,18 @@ def test_concat_build_qd6(capsys):
     assert len(payload["equivalence_class"]) == 4
     assert payload["phi"] == {"value": 1.0, "exact": "1"}
     assert payload["phi_prime"] == {"value": 0.4, "exact": "2/5"}
+
+
+@pytest.mark.parametrize("order", ["qd", "dq"])
+def test_concat_build_over_cap_exits_two_fast(capsys, order):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["concat", "build", "--outer", "knill-laflamme-5",
+                  "--inner", "knill-laflamme-5", "--order", order])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "16777216" in json.loads(captured.err)["error"]
 
 
 def test_dfs_build_default_group(capsys):

@@ -308,3 +308,20 @@ def test_build_rejects_k2_inner():
 def test_registry_rejects_unknown_ids():
     with pytest.raises(ValueError, match="qd6"):
         concat.concatenated("qd7")
+
+
+@pytest.mark.parametrize("order", list(Order))
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        pair
+        for pair in itertools.product(stabilizer.builtin_names(), repeat=2)
+        if pair != ("knill-laflamme-5", "knill-laflamme-5")
+    ],
+)
+def test_correctable_count_matches_enumeration(outer, inner, order):
+    spec = concat.make_spec(stabilizer.builtin(outer), stabilizer.builtin(inner), order)
+    count = concat.correctable_count(spec)
+    assert count == concat.equivalence_classes(spec).total_elements
+    assert count <= concat.MAX_CORRECTABLE
+

@@ -1,4 +1,6 @@
 import itertools
+import json
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +34,31 @@ def test_characters_trivial_group():
     assert chars[0].signs(group) == (1,)
 
 
+@st.composite
+def abelian_groups(draw, max_rank=6):
+    """Sign-free Abelian groups on n <= 6 qubits from at most max_rank drawn generators.
+
+    A drawn Pauli joins the generators only if the group it generates with
+    them is one ``AbelianErrorGroup.from_strings`` accepts.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    group = dfs.AbelianErrorGroup.from_strings(["I" * n])
+    for x, z in draw(st.lists(st.tuples(masks, masks), max_size=min(n, max_rank))):
+        keys = {(e.x, e.z) for e in group.elements}
+        keys |= {(e.x ^ x, e.z ^ z) for e in group.elements}
+        texts = sorted(pauli.format_pauli(pauli.PauliString(n, *key, 0)) for key in keys)
+        try:
+            group = dfs.AbelianErrorGroup.from_strings(texts)
+        except ValueError:
+            pass
+    return group
+
+
+def _group(elements):
+    return dfs.AbelianErrorGroup.from_strings(elements.split(","))
+
+
 def _brute_force_characters(group):
     """Oracle: every +/-1 assignment respecting chi(gh) = chi(g)chi(h)."""
     elems = group.elements
@@ -50,12 +77,21 @@ def _brute_force_characters(group):
     return set(valid)
 
 
-def test_characters_klein_four_group_match_brute_force():
-    group = dfs.AbelianErrorGroup.from_strings(["IIII", "XXII", "IIXX", "XXXX"])
+@given(
+    group=abelian_groups(max_rank=3),
+    pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+)
+@example(group=_group("IIII,XXII,IIXX,XXXX"), pairs=[(1, 2), (3, 3)])
+def test_characters_klein_four_group_match_brute_force(group, pairs):
     chars = dfs.characters(group)
-    assert len(chars) == 4
-    got = {c.signs(group) for c in chars}
-    assert got == _brute_force_characters(group)
+    elems = group.elements
+    assert len(chars) == len(elems) <= 8
+    assert {c.signs(group) for c in chars} == _brute_force_characters(group)
+    assert chars[0].signs(group) == (1,) * len(elems)
+    for chi in chars:
+        for i, j in pairs:
+            a, b = elems[i % len(elems)], elems[j % len(elems)]
+            assert chi.value(a) * chi.value(b) == chi.value(pauli.multiply(a, b))
 
 
 def test_group_validation_rejects_bad_inputs():
@@ -294,7 +330,7 @@ def test_projector_capacity_guard():
     big = dfs.AbelianErrorGroup(
         13, (pauli.identity(13), pauli.parse("X" * 13))
     )
-    chi = dfs.Character({(0, 0): 1, (pauli.parse("X" * 13).x, 0): 1})
+    chi = dfs.characters(big)[0]
     with pytest.raises(ValueError, match="capped"):
         dfs.projector(big, chi)
 
@@ -311,31 +347,6 @@ def _gram_schmidt_basis(group, chi, tol=1e-10):
         if norm > tol:
             basis.append(vec / norm)
     return basis
-
-
-@st.composite
-def abelian_groups(draw):
-    """Sign-free Abelian groups on n <= 6 qubits from drawn generators.
-
-    A drawn Pauli joins the generators only if the group it generates with
-    them is one ``AbelianErrorGroup.from_strings`` accepts.
-    """
-    n = draw(st.integers(min_value=1, max_value=6))
-    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
-    group = dfs.AbelianErrorGroup.from_strings(["I" * n])
-    for x, z in draw(st.lists(st.tuples(masks, masks), max_size=n)):
-        keys = {(e.x, e.z) for e in group.elements}
-        keys |= {(e.x ^ x, e.z ^ z) for e in group.elements}
-        texts = sorted(pauli.format_pauli(pauli.PauliString(n, *key, 0)) for key in keys)
-        try:
-            group = dfs.AbelianErrorGroup.from_strings(texts)
-        except ValueError:
-            pass
-    return group
-
-
-def _group(elements):
-    return dfs.AbelianErrorGroup.from_strings(elements.split(","))
 
 
 @given(group=abelian_groups())
@@ -363,6 +374,34 @@ def test_df_basis_matches_gram_schmidt_reference(group):
         else:
             with pytest.raises(ValueError, match="whole qubits"):
                 dfs.as_stabilizer_code(group, chi)
+
+
+def test_df_basis_projects_only_surviving_orbits(monkeypatch):
+    calls = []
+    project = statevec.project
+
+    def counted(state, generators):
+        calls.append(1)
+        return project(state, generators)
+
+    monkeypatch.setattr(statevec, "project", counted)
+    group = dfs.AbelianErrorGroup.from_strings(_big_group_texts())
+    chars = dfs.characters(group)
+    for index in (0, 777):
+        calls.clear()
+        basis = dfs.df_basis(group, chars[index])
+        assert len(basis) == len(calls) == 4
+        assert all(statevec.dfs_invariance(vec, group, chars[index]) for vec in basis)
+
+
+def test_full_build_over_pair_cap_exits_two_before_building(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dfs", "build", "--elements", ",".join(_big_group_texts())])
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "--character" in json.loads(captured.err)["error"]
 
 
 def test_build_path_never_builds_a_dense_matrix(monkeypatch, capsys):
