@@ -17,6 +17,10 @@ regression tests.  A code's layers, per variant, come from its
   never crosses the identity line on (0, 0.5).
 * ``table``: qd10 with the two-letter subspace failure 2p(1-p)(1-mu) as
   the inner layer, matching the tabulated threshold digits.
+
+The pseudothreshold of a curve is its lowest crossing pf(p) = p, below which
+encoding helps: :func:`pseudothreshold` finds it as the first sign change of
+one upward scan.
 """
 
 from __future__ import annotations
@@ -207,43 +211,36 @@ def cross_block_closed_form(p: float, mu: float) -> float:
 # Pseudothreshold machinery
 # ---------------------------------------------------------------------------
 
-NO_CROSSING = None  # sentinel meaning pf(p) < p on the whole interval
+GRID_STEP = 1e-3  # the scan lattice: p = GRID_STEP, 2 GRID_STEP, ... < UPPER
+BISECT_TOL = 1e-9  # bracket width at which bisection stops
+UPPER = 0.5
+
+NO_CROSSING = None  # sentinel meaning pf(p) - p keeps one sign on the grid
 
 
-def pseudothreshold(
-    pf_curve: Callable[[float], float],
-    *,
-    grid_step: float = 1e-3,
-    bisect_tol: float = 1e-9,
-    upper: float = 0.5,
-) -> Optional[float]:
-    """Largest root of pf(p) = p in (0, upper), or None when no crossing.
+def pseudothreshold(pf_curve: Callable[[float], float]) -> Optional[float]:
+    """Lowest root of pf(p) = p in (0, UPPER), or None when no crossing.
 
-    Sign changes of pf(p) - p are bracketed on a grid_step lattice and the
-    largest bracket is bisected down to bisect_tol.
+    pf(p) - p is scanned upward on the GRID_STEP lattice and the scan stops
+    at the first grid point where it is zero, which is returned, or at the
+    first sign change, whose bracket is bisected down to BISECT_TOL.  On
+    every registered curve pf(p) < p below the root it returns.
     """
-    steps = int(round(upper / grid_step))
     gap = lambda p: pf_curve(p) - p
-    bracket = None
-    prev_p = grid_step
-    prev_g = gap(prev_p)
-    for i in range(2, steps):
-        cur_p = i * grid_step
-        cur_g = gap(cur_p)
-        if prev_g == 0.0:
-            bracket = (prev_p, prev_p)
-        elif (prev_g < 0.0) != (cur_g < 0.0):
-            bracket = (prev_p, cur_p)
-        prev_p, prev_g = cur_p, cur_g
-    if prev_g == 0.0:
-        bracket = (prev_p, prev_p)
-    if bracket is None:
-        return NO_CROSSING
-    lo, hi = bracket
-    if lo == hi:
+    lo, g_lo = GRID_STEP, gap(GRID_STEP)
+    if g_lo == 0.0:
         return lo
-    g_lo = gap(lo)
-    while hi - lo > bisect_tol:
+    for i in range(2, round(UPPER / GRID_STEP)):
+        hi = i * GRID_STEP
+        g_hi = gap(hi)
+        if g_hi == 0.0:
+            return hi
+        if (g_hi < 0.0) != (g_lo < 0.0):
+            break
+        lo, g_lo = hi, g_hi
+    else:
+        return NO_CROSSING
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         g_mid = gap(mid)
         if g_mid == 0.0:

@@ -11,8 +11,11 @@ error rather than an invalid document.  A ``fidelity sweep`` of more than
 is a usage error, and so is a ``dfs build`` group on more than
 ``statevec.MAX_QUBITS`` (12) qubits or printing more than ``MAX_DFS_PAIRS``
 (4^10) amplitude pairs, and a ``concat build`` listing more than
-``concat.MAX_CORRECTABLE`` (65,536) correctable errors.  Code ids, curve
-variants and the variant ``table1`` reports come from
+``concat.MAX_CORRECTABLE`` (65,536) correctable errors.  ``threshold
+--depth`` is at most ``MAX_DEPTH`` (100), ``--shots`` of ``mc run`` and
+``verify`` at most ``MAX_SHOTS`` (10^9), and an ``--out`` that names a
+directory or a path in a missing directory is a usage error.  Code ids,
+curve variants and the variant ``table1`` reports come from
 :data:`qdq.concat.REGISTRY`.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -36,6 +40,15 @@ MAX_SWEEP_ROWS = 1_000_000
 # vectors over all characters.  4^10 is a 10-qubit full build, about 7 s and
 # 512 MB; an 11-qubit one needs --character.
 MAX_DFS_PAIRS = 4**10
+
+# Deepest ``threshold --depth``: depth d composes the curve d times and every
+# depth from 1 to D is solved, so the work grows as D^2; D = 100 takes 1-4 s
+# for every code (one core, including start-up).
+MAX_DEPTH = 100
+
+# Most ``--shots`` of ``mc run`` or ``verify``: about 30 s at the 30-36 M
+# shots/s of the ten-qubit codes.
+MAX_SHOTS = 10**9
 
 
 class _UsageError(ValueError):
@@ -302,6 +315,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_int_at_most(cap: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {text}")
+        return value
+
+    return parse
+
+
 def _nonnegative_int(text: str) -> int:
     value = _parse_number(text, int)
     if value < 0:
@@ -309,8 +332,20 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _out_path(text: str) -> str:
+    """A file path whose directory exists, checked before any work runs."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no directory {parent}")
+    return text
+
+
 def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="write output to this path instead of stdout")
+    parser.add_argument(
+        "--out", type=_out_path, help="write output to this path instead of stdout"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--code", required=True, choices=code_ids)
     thr.add_argument("--mu", type=_unit_interval, default=0.0)
     thr.add_argument("--variant", default="literal", choices=analytic.VARIANTS)
-    thr.add_argument("--depth", type=_positive_int, default=1)
+    thr.add_argument("--depth", type=_positive_int_at_most(MAX_DEPTH), default=1)
     _add_out(thr)
     thr.set_defaults(handler=_cmd_threshold)
 
@@ -377,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--code", required=True, choices=code_ids)
     run.add_argument("--p", type=_unit_interval, required=True)
     run.add_argument("--mu", type=_unit_interval, required=True)
-    run.add_argument("--shots", type=_positive_int, default=100_000)
+    run.add_argument("--shots", type=_positive_int_at_most(MAX_SHOTS), default=100_000)
     run.add_argument("--seed", type=_nonnegative_int, default=2024)
     run.add_argument(
         "--alphabet",
@@ -397,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict codeword checks",
     )
     ver.add_argument(
-        "--shots", type=_positive_int, default=100_000, help="MC suite shots"
+        "--shots", type=_positive_int_at_most(MAX_SHOTS), default=100_000, help="MC suite shots"
     )
     _add_out(ver)
     ver.set_defaults(handler=_cmd_verify)
@@ -416,7 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except _UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1
 

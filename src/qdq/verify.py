@@ -346,15 +346,14 @@ def suite_analytic() -> list[Check]:
                 f"got {thr}",
             )
         )
-        if cid == "dq6":
-            # A fixed point of the curve is one of every self-concatenation.
-            roots = [
-                analytic.pseudothreshold(analytic.depth_recursion(curve, d))
-                for d in (1, 2, 3, 4)
-            ]
-            ok = None not in roots and max(roots) - min(roots) < 1e-6
-            ok = ok and all(abs(r - want) <= tol for r in roots)
-            depth.append(_check(f"analytic.depth-invariance-{cid}", ok, f"roots {roots}"))
+        # A fixed point of the curve is one of every self-concatenation, and
+        # below the lowest one pf(p) - p keeps its sign at every depth.
+        roots = [thr] + [
+            analytic.pseudothreshold(analytic.depth_recursion(curve, d)) for d in (2, 3, 4)
+        ]
+        ok = None not in roots and max(roots) - min(roots) < 1e-6
+        ok = ok and all(abs(r - want) <= tol for r in roots)
+        depth.append(_check(f"analytic.depth-invariance-{cid}", ok, f"roots {roots}"))
     printed = analytic.pseudothreshold(analytic.failure_curve("dq10", 0.0, "printed"))
     checks.append(_check("analytic.dq10-printed-no-crossing", printed is None))
     return checks + depth

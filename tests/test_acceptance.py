@@ -57,7 +57,7 @@ def test_criterion_04_crossover_orderings():
 
 
 def test_criterion_05_depth_invariance():
-    drive("5 depth invariance", verify.suite_analytic, ["analytic.depth-invariance-dq6"])
+    drive("5 depth invariance", verify.suite_analytic, per_code("analytic.depth-invariance-{}"))
 
 
 def test_criterion_06_monte_carlo_agreement():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -300,3 +301,36 @@ def test_depth_crossings_agree():
     assert all(r is not None for r in roots)
     assert max(roots) - min(roots) < 1e-6
     assert abs(roots[0] - 0.2252) < 1e-3
+
+
+def test_pseudothreshold_is_the_lowest_crossing():
+    # pf(p) - p is -0.021 at 0.05, +0.004 at 0.12 and -0.009 at 0.48: the
+    # code helps only below the first crossing.
+    curve = analytic.failure_curve("qd10", 0.4, "table")
+    root = analytic.pseudothreshold(curve)
+    assert root is not None and 0.11 < root < 0.12
+    assert abs(curve(root) - root) <= 1e-9
+
+
+SCAN = [i * analytic.GRID_STEP for i in range(1, round(analytic.UPPER / analytic.GRID_STEP))]
+# Every distinct curve: a variant a record does not override is its literal one.
+CURVES = [
+    (cid, variant)
+    for cid in concat.code_ids()
+    for variant in analytic.VARIANTS
+    if variant == "literal" or variant in concat.REGISTRY[cid].variant_layers
+]
+
+
+@pytest.mark.parametrize("code_id, variant", CURVES)
+def test_no_sign_change_below_the_returned_root(code_id, variant):
+    for mu in np.linspace(0.0, 1.0, 21):
+        curve = analytic.failure_curve(code_id, float(mu), variant)
+        for depth in (1, 2):
+            # Cached, so the scan below rereads the solver's grid values.
+            composed = functools.lru_cache(None)(analytic.depth_recursion(curve, depth))
+            root = analytic.pseudothreshold(composed)
+            first = composed(SCAN[0]) - SCAN[0] < 0.0
+            assert root is None or first, (mu, depth, root)
+            below = [p for p in SCAN if root is None or p < root]
+            assert all((composed(p) - p < 0.0) == first for p in below), (mu, depth)

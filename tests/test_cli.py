@@ -120,8 +120,17 @@ def test_threshold_depth_four_qd10_table_has_a_root(capsys):
         capsys, "threshold", "--code", "qd10", "--variant", "table",
         "--mu", "0.4", "--depth", "4",
     )
-    assert payload["p_thres"] == pytest.approx(0.469478, abs=1e-6)
+    assert payload["p_thres"] == pytest.approx(0.113183, abs=1e-6)
     assert payload["per_depth"]["4"] == payload["p_thres"]
+
+
+def test_threshold_depth_two_qd10_table_keeps_the_depth_one_root(capsys):
+    # f(p) > 0.5 above p ~ 0.1, so f(f(p)) crosses the identity again near
+    # 0.483; the lowest crossing is the depth-1 root.
+    payload = run_json(
+        capsys, "threshold", "--code", "qd10", "--variant", "table", "--depth", "2"
+    )
+    assert payload["per_depth"] == {"1": 0.029879956722259522, "2": 0.029879956722259522}
 
 
 def test_threshold_printed_dq10_reports_no_crossing(capsys):
@@ -265,3 +274,66 @@ def test_bad_flag_is_a_usage_error(capsys, argv, flag):
     record = json.loads(captured.err)
     assert flag in record["error"]
     assert record["usage"].startswith("usage: qdq")
+
+
+OUT_COMMANDS = [
+    ("codes", "list"),
+    ("codes", "describe", "dfs-2"),
+    CONCAT_BUILD + ("--outer", "repetition-3", "--inner", "dfs-2"),
+    ("dfs", "build"),
+    SWEEP + ("--pmin", "0", "--pmax", "0.1", "--step", "0.01"),
+    ("threshold", "--code", "dq6"),
+    MC_RUN + ("--p", "0.1", "--shots", "10"),
+    ("verify", "--suite", "pauli"),
+    ("table1",),
+]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    target = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv) + ["--out", str(target)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "--out" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("threshold", "--code", "dq6", "--depth", str(cli.MAX_DEPTH + 1)), "--depth"),
+        (MC_RUN + ("--p", "0.1", "--shots", str(cli.MAX_SHOTS + 1)), "--shots"),
+        (MC_RUN + ("--p", "0.1", "--shots", "100000000000000"), "--shots"),
+        (("verify", "--suite", "mc", "--shots", str(cli.MAX_SHOTS + 1)), "--shots"),
+    ],
+    ids=["depth", "mc-shots", "mc-shots-huge", "verify-shots"],
+)
+def test_work_over_cap_is_a_usage_error_before_any_work(capsys, argv, flag):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert flag in json.loads(captured.err)["error"]
+
+
+def test_work_caps_admit_their_own_value():
+    parser = cli.build_parser()
+    depth = parser.parse_args(["threshold", "--code", "dq6", "--depth", str(cli.MAX_DEPTH)])
+    assert depth.depth == cli.MAX_DEPTH
+    for argv in (MC_RUN + ("--p", "0.1"), ("verify",)):
+        args = parser.parse_args(list(argv) + ["--shots", str(cli.MAX_SHOTS)])
+        assert args.shots == cli.MAX_SHOTS
+
+
+def test_out_that_fails_at_write_time_is_an_exit_one_json_error(tmp_path, capsys):
+    # The link passes the parse-time check; opening it finds no directory.
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "absent" / "x.json")
+    code = cli.main(["codes", "list", "--out", str(link)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error" in json.loads(captured.err)

@@ -59,8 +59,25 @@ def test_pseudothreshold_finds_a_known_root(root, slope, sign):
     def curve(p):
         return p + c * (p - root) * (1.0 - p)
 
-    got = analytic.pseudothreshold(curve, grid_step=GRID_STEP)
+    got = analytic.pseudothreshold(curve)
     assert got is not None and abs(got - root) <= 1e-8
+
+
+@given(
+    a=st.floats(min_value=2 * GRID_STEP, max_value=0.4),
+    gap=st.floats(min_value=2 * GRID_STEP, max_value=0.08),
+    slope=st.floats(min_value=0.01, max_value=10.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_pseudothreshold_returns_the_lower_of_two_crossings(a, gap, slope, sign):
+    b = a + gap
+    c = sign * slope
+
+    def curve(p):
+        return p + c * (p - a) * (p - b) * (1.0 - p)
+
+    got = analytic.pseudothreshold(curve)
+    assert got is not None and abs(got - a) <= 1e-8
 
 
 def pauli_strings(n):

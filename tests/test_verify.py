@@ -9,10 +9,10 @@ from qdq import _tables, cli, concat, verify
 
 
 def _threshold_checks(cid):
-    names = {f"analytic.threshold-{cid}-{concat.REGISTRY[cid].table_variant}"}
-    if cid == "dq6":
-        names.add("analytic.depth-invariance-dq6")
-    return names
+    return {
+        f"analytic.threshold-{cid}-{concat.REGISTRY[cid].table_variant}",
+        f"analytic.depth-invariance-{cid}",
+    }
 
 
 def _outer(cid):
