@@ -41,9 +41,9 @@ MAX_SWEEP_ROWS = 1_000_000
 # 512 MB; an 11-qubit one needs --character.
 MAX_DFS_PAIRS = 4**10
 
-# Deepest ``threshold --depth``: depth d composes the curve d times and every
-# depth from 1 to D is solved, so the work grows as D^2; D = 100 takes 1-4 s
-# for every code (one core, including start-up).
+# Deepest ``threshold --depth``: every depth from 1 to D is solved and printed
+# in ``per_depth``.  Each point's iterates are kept, so the curve evaluations
+# grow as D, not D^2.
 MAX_DEPTH = 100
 
 # Most ``--shots`` of ``mc run`` or ``verify``: about 30 s at the 30-36 M
@@ -182,18 +182,31 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     for i in range(math.floor(span + 1e-9) + 1):
         p = min(args.pmin + i * args.step, args.pmax)
         value = pf(args.mu, p)
-        lines.append(
-            f"{p:.6g},{args.mu:.6g},{value:.6g},{1.0 - value:.6g}"
-        )
+        fe = analytic.entanglement_fidelity(value)
+        lines.append(f"{p:.6g},{args.mu:.6g},{value:.6g},{fe:.6g}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     base = analytic.failure_curve(args.code, args.mu, args.variant)
+    # iterates[p][d] is the curve composed d times at p, built by the float
+    # steps depth_recursion takes, so depth d reuses every shallower depth's
+    # values at the points the solves share.
+    iterates: dict[float, list[float]] = {}
+
+    def composed(depth: int) -> Callable[[float], float]:
+        def curve(p: float) -> float:
+            chain = iterates.setdefault(p, [p])
+            while len(chain) <= depth:
+                chain.append(base(chain[-1]))
+            return chain[depth]
+
+        return curve
+
     per_depth = {}
     for depth in range(1, args.depth + 1):
-        thr = analytic.pseudothreshold(analytic.depth_recursion(base, depth))
+        thr = analytic.pseudothreshold(composed(depth))
         per_depth[str(depth)] = "no-crossing" if thr is None else thr
     payload = {
         "code": args.code,
@@ -215,7 +228,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     config = mc.SampleConfig(model, args.code, args.shots, args.seed)
     analytic_pf = mc.analytic_reference(args.code, model)
     estimate = mc.estimate_pf(config)
-    z = math.nan if analytic_pf is None else mc.compare(config, analytic_pf, estimate).z
+    z = math.nan if analytic_pf is None else mc.z_score(estimate, analytic_pf)
     payload = {
         "code": args.code,
         "p": args.p,

@@ -35,9 +35,9 @@ block error as one correctable outer error, whereas the table decoder only
 handles the designed correctable set, so e.g. a lone IZ inside a
 collective-flip pair lands on an unlisted syndrome and counts as a failure.
 There the exact value is the class law over all class tuples dotted with
-the failure table; the tests gate the estimate against it, and the z-score
-:func:`compare` reports against the recursion measures the gap between the
-two quantities.
+the failure table; the tests gate the estimate against it, and the
+:func:`z_score` against the recursion measures the gap between the two
+quantities.
 """
 
 from __future__ import annotations
@@ -89,14 +89,6 @@ class MCEstimate:
     shots: int
     seed: int
     failures: int
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    estimate: MCEstimate
-    analytic: float
-    z: float
-    flagged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +326,12 @@ def estimate_pf_reference(config: SampleConfig) -> MCEstimate:
     return MCEstimate(pf_hat, stderr, config.shots, config.seed, failures)
 
 
-def compare(
-    config: SampleConfig,
-    analytic_pf: float,
-    estimate: Optional[MCEstimate] = None,
-) -> AgreementReport:
-    """z-score of the estimate against an analytic value; flagged when
-    z > 4 with at least 1e5 shots."""
-    if estimate is None:
-        estimate = estimate_pf(config)
+def z_score(estimate: MCEstimate, reference: float) -> float:
+    """|pf_hat - reference| / stderr; with stderr 0, 0.0 on a match and
+    inf otherwise."""
     if estimate.stderr == 0.0:
-        z = 0.0 if estimate.pf_hat == analytic_pf else math.inf
-    else:
-        z = abs(estimate.pf_hat - analytic_pf) / estimate.stderr
-    return AgreementReport(
-        estimate=estimate,
-        analytic=analytic_pf,
-        z=z,
-        flagged=z > 4.0 and config.shots >= 100_000,
-    )
+        return 0.0 if estimate.pf_hat == reference else math.inf
+    return abs(estimate.pf_hat - reference) / estimate.stderr
 
 
 def analytic_reference(code_id: str, model: NoiseModel) -> Optional[float]:

@@ -40,14 +40,6 @@ class PauliString:
             raise ValueError(f"phase exponent {self.phase} not in 0..3")
 
     @property
-    def x_bits(self) -> tuple[int, ...]:
-        return tuple((self.x >> q) & 1 for q in range(self.n))
-
-    @property
-    def z_bits(self) -> tuple[int, ...]:
-        return tuple((self.z >> q) & 1 for q in range(self.n))
-
-    @property
     def letters(self) -> str:
         """Letter form without the sign prefix."""
         return "".join(
@@ -61,9 +53,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return format_pauli(self)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
 
 
 def identity(n: int) -> PauliString:

@@ -61,9 +61,6 @@ class StabilizerCode:
         if len(self.passive_mask) != len(self.generators):
             raise ValueError("passive mask length must match generator count")
 
-    def generator_strings(self) -> list[str]:
-        return [str(g) for g in self.generators]
-
     @functools.cached_property
     def row_space(self) -> RowSpace:
         return RowSpace(_row(g) for g in self.generators)
@@ -241,14 +238,15 @@ def _code(
     logical_x: list[str],
     logical_z: list[str],
     passive: list[bool],
-    k: int = 1,
 ) -> StabilizerCode:
     gens = tuple(pauli.parse(g) for g in generators)
     n = gens[0].n if gens else len(logical_x[0])
+    # Every builtin has one logical qubit.  k is stated, not derived as n - r,
+    # so that validate's generator-count check still tests the list.
     return StabilizerCode(
         name=name,
         n=n,
-        k=k,
+        k=1,
         generators=gens,
         logical_x=tuple(pauli.parse(s) for s in logical_x),
         logical_z=tuple(pauli.parse(s) for s in logical_z),
@@ -288,7 +286,7 @@ def builtin_names() -> list[str]:
     return sorted(_BUILTINS)
 
 
-def logical_y(code: StabilizerCode, i: int = 0) -> PauliString:
-    """Canonical logical Y representative, i * X_bar * Z_bar."""
-    product = pauli.multiply(code.logical_x[i], code.logical_z[i])
+def logical_y(code: StabilizerCode) -> PauliString:
+    """Canonical logical Y representative of logical qubit 0, i * X_bar * Z_bar."""
+    product = pauli.multiply(code.logical_x[0], code.logical_z[0])
     return PauliString(product.n, product.x, product.z, (product.phase + 1) % 4)

@@ -4,6 +4,8 @@ Basis convention: qubit 0 is the most significant index bit, so the ket
 |000111> is amplitude index 0b000111.  One stabilizer projection (:func:`project`)
 builds the codewords of every code and the bases of :func:`qdq.dfs.df_basis`;
 hand-entered expansions in :mod:`qdq._tables` are the codewords' reference.
+The checks compare at fixed tolerances: 1e-9 for the Knill-Laflamme matrix
+elements, 1e-10 for equality up to phase and for DFS invariance.
 """
 
 from __future__ import annotations
@@ -81,11 +83,10 @@ def expectation(state: np.ndarray, p: PauliString) -> complex:
     return complex(np.vdot(state, apply_pauli(p, state)))
 
 
-def states_equal_up_to_phase(
-    a: np.ndarray, b: np.ndarray, tol: float = 1e-10
-) -> bool:
+def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
+    """|<a|b>| >= (1 - 1e-10) |a| |b|."""
     overlap = abs(np.vdot(a, b))
-    return overlap >= (1.0 - tol) * np.linalg.norm(a) * np.linalg.norm(b)
+    return overlap >= (1.0 - 1e-10) * np.linalg.norm(a) * np.linalg.norm(b)
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +103,12 @@ class KLResult:
         return self.ok
 
 
-def kl_check(
-    codewords: Sequence[np.ndarray],
-    errors: Sequence[PauliString],
-    tol: float = 1e-9,
-) -> KLResult:
+def kl_check(codewords: Sequence[np.ndarray], errors: Sequence[PauliString]) -> KLResult:
     """Matrix-element correctability conditions for a pair of codewords.
 
     Requires <w_i|E_m^+ E_n|w_j> = 0 for i != j and equal diagonals, for
-    every error pair.  Returns the first violating (m, n, i, j) witness.
+    every error pair, each to 1e-9.  Returns the first violating
+    (m, n, i, j) witness.
     """
     if len(codewords) != 2:
         raise ValueError("exactly two codewords expected")
@@ -125,25 +123,21 @@ def kl_check(
     for m in range(len(errors)):
         for n in range(len(errors)):
             cross = np.vdot(images[m][0], images[n][1])
-            if abs(cross) > tol:
+            if abs(cross) > 1e-9:
                 return KLResult(False, (m, n, 0, 1, complex(cross), 0.0))
             d0 = np.vdot(images[m][0], images[n][0])
             d1 = np.vdot(images[m][1], images[n][1])
-            if abs(d0 - d1) > tol:
+            if abs(d0 - d1) > 1e-9:
                 return KLResult(False, (m, n, 0, 0, complex(d0), complex(d1)))
     return KLResult(True)
 
 
-def dfs_invariance(
-    state: np.ndarray,
-    group: "AbelianErrorGroup",
-    chi: "Character",
-    tol: float = 1e-10,
-) -> bool:
-    """True iff g|state> = chi(g)|state> for every group element."""
+def dfs_invariance(state: np.ndarray, group: "AbelianErrorGroup", chi: "Character") -> bool:
+    """True iff g|state> = chi(g)|state>, to 1e-10 per amplitude, for every
+    group element."""
     for g in group.elements:
         image = apply_pauli(g, state)
-        if np.max(np.abs(image - chi.value(g) * state)) > tol:
+        if np.max(np.abs(image - chi.value(g) * state)) > 1e-10:
             return False
     return True
 

@@ -241,8 +241,8 @@ def suite_codewords(code_filter: Optional[str] = None) -> list[Check]:
         want0, want1 = (_concatenated_state(terms, inner) for terms in outer)
         cc = concat.concatenated(cid)
         got0, got1 = statevec.codewords(cc.code)
-        ok0 = statevec.states_equal_up_to_phase(got0, want0, tol=1e-10)
-        ok1 = statevec.states_equal_up_to_phase(got1, want1, tol=1e-10)
+        ok0 = statevec.states_equal_up_to_phase(got0, want0)
+        ok1 = statevec.states_equal_up_to_phase(got1, want1)
         detail = ""
         if not (ok0 and ok1):
             bad = got0 - want0 if not ok0 else got1 - want1
@@ -366,8 +366,8 @@ def suite_mc(shots: int = 100_000, seed: int = 2024) -> list[Check]:
         for p in (0.05, 0.1, 0.2):
             for m in (0.0, 0.5, 0.75):
                 cfg = mc.SampleConfig(NoiseModel(p, m, Alphabet.BITFLIP), cid, shots, seed)
-                rep = mc.compare(cfg, mc.analytic_reference(cid, cfg.model))
-                worst = max(worst, rep.z)
+                z = mc.z_score(mc.estimate_pf(cfg), mc.analytic_reference(cid, cfg.model))
+                worst = max(worst, z)
         checks.append(_check(f"mc.analytic-agreement-{cid}", worst <= 4.0, f"max z={worst:.2f}"))
     return checks
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qdq import cli
+from qdq import analytic, cli, concat
 
 
 def run(capsys, *argv):
@@ -138,6 +138,41 @@ def test_threshold_printed_dq10_reports_no_crossing(capsys):
         capsys, "threshold", "--code", "dq10", "--variant", "printed"
     )
     assert payload["p_thres"] == "no-crossing"
+
+
+@pytest.mark.parametrize("code_id", concat.code_ids())
+def test_threshold_per_depth_equals_each_depth_solved_alone(capsys, code_id):
+    # The memoized iterates are the float steps depth_recursion takes.
+    for variant in analytic.VARIANTS:
+        for mu in (0.0, 0.4, 0.75):
+            payload = run_json(capsys, "threshold", "--code", code_id, "--variant", variant,
+                               "--mu", str(mu), "--depth", "6")
+            base = analytic.failure_curve(code_id, mu, variant)
+            for depth in range(1, 7):
+                thr = analytic.pseudothreshold(analytic.depth_recursion(base, depth))
+                want = "no-crossing" if thr is None else thr
+                assert payload["per_depth"][str(depth)] == want, (variant, mu, depth)
+
+
+def test_threshold_ladder_evaluations_grow_with_depth_not_its_square(capsys, monkeypatch):
+    calls = 0
+    failure_curve = analytic.failure_curve
+
+    def counting(*args):
+        curve = failure_curve(*args)
+
+        def counted(p):
+            nonlocal calls
+            calls += 1
+            return curve(p)
+
+        return counted
+
+    monkeypatch.setattr(cli.analytic, "failure_curve", counting)
+    payload = run_json(capsys, "threshold", "--code", "dq6", "--depth", "100")
+    assert len(payload["per_depth"]) == 100
+    # Solving each depth on its own composed curve made 1,242,300 calls.
+    assert 0 < calls <= 30_000, calls
 
 
 def test_table1_contract(capsys):

@@ -301,7 +301,7 @@ def test_as_stabilizer_code_plus_matches_builtin(flip_group, flip_chars):
 
 def test_as_stabilizer_code_minus_carries_sign(flip_group, flip_chars):
     code = dfs.as_stabilizer_code(flip_group, flip_chars[1])
-    assert code.generator_strings() == ["-XX"]
+    assert [str(g) for g in code.generators] == ["-XX"]
     assert code.passive_mask == (True,)
     assert code.k == 1
     # The minus-character basis states sit at +1 of the signed generator.

@@ -287,8 +287,8 @@ def test_exact_block_law_pins():
 @pytest.mark.parametrize("code_id", ["qd10", "dq10"])
 def test_ten_qubit_estimate_agrees_with_exact_block_law(code_id):
     config = cfg(code_id=code_id, p=0.05, mu=0.5, shots=200_000, seed=2024)
-    report = mc.compare(config, _exact_pf_by_classes(code_id, config.model))
-    assert report.z <= 4.0, report
+    z = mc.z_score(mc.estimate_pf(config), _exact_pf_by_classes(code_id, config.model))
+    assert z <= 4.0, z
 
 
 @pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
@@ -456,21 +456,18 @@ def test_agreement_grid_six_qubit():
         for p in (0.05, 0.1, 0.2):
             for mu in (0.0, 0.5, 0.75):
                 config = cfg(code_id=code_id, p=p, mu=mu, shots=100_000, seed=2024)
-                report = mc.compare(config, mc.analytic_reference(code_id, config.model))
-                assert report.z <= 4.0, (code_id, p, mu, report.z)
-                assert not report.flagged
+                reference = mc.analytic_reference(code_id, config.model)
+                z = mc.z_score(mc.estimate_pf(config), reference)
+                assert z <= 4.0, (code_id, p, mu, z)
 
 
-def test_comparator_flags_wrong_value():
-    config = cfg(p=0.1, mu=0.0, shots=100_000, seed=1)
-    report = mc.compare(config, 0.5)
-    assert report.flagged and report.z > 4.0
-
-
-def test_comparator_not_flagged_below_shot_floor():
-    config = cfg(p=0.1, mu=0.0, shots=10_000, seed=1)
-    report = mc.compare(config, 0.5)
-    assert report.z > 4.0 and not report.flagged
+def test_z_score_arithmetic():
+    estimate = mc.MCEstimate(pf_hat=0.5, stderr=0.05, shots=100, seed=0, failures=50)
+    assert mc.z_score(estimate, 0.4) == pytest.approx(2.0)
+    assert math.isnan(mc.z_score(estimate, math.nan))
+    exact = mc.MCEstimate(pf_hat=0.0, stderr=0.0, shots=10, seed=0, failures=0)
+    assert mc.z_score(exact, 0.0) == 0.0
+    assert mc.z_score(exact, 0.1) == math.inf
 
 
 def test_corrected_residual_never_detectable():
@@ -513,8 +510,7 @@ def test_mu_one_dq6_under_innermost_block_reading():
     # Blocks are independent even at mu = 1, so exactly-one-collective-flip
     # events fail; the closed-form per-block recursion stays exact.
     config = cfg(code_id="dq6", p=0.3, mu=1.0, shots=100_000, seed=8)
-    report = mc.compare(config, mc.analytic_reference("dq6", config.model))
-    assert report.z <= 4.0
+    assert mc.z_score(mc.estimate_pf(config), mc.analytic_reference("dq6", config.model)) <= 4.0
     assert mc.analytic_reference("dq6", config.model) == pytest.approx(
         2 * 0.3 * 0.7, abs=1e-12
     )

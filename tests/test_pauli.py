@@ -15,15 +15,14 @@ SINGLE_QUBIT_PRODUCTS = {
 
 def test_parse_examples():
     p = pauli.parse("XIIXII")
-    assert p.x_bits == (1, 0, 0, 1, 0, 0)
-    assert p.z_bits == (0, 0, 0, 0, 0, 0)
+    assert p.x == 0b001001 and p.z == 0
     assert p.phase == 0
 
     ident = pauli.parse("IIIIII")
     assert ident.x == 0 and ident.z == 0 and ident.phase == 0
 
     m = pauli.parse("-YY")
-    assert m.x_bits == (1, 1) and m.z_bits == (1, 1) and m.phase == 2
+    assert m.x == 0b11 and m.z == 0b11 and m.phase == 2
 
 
 @pytest.mark.parametrize("text,phase", [("iX", 1), ("-iZ", 3), ("+Y", 0), ("-X", 2)])

@@ -29,18 +29,18 @@ def test_builtins_are_valid():
 def test_builtin_contents():
     rep3 = stabilizer.builtin("repetition-3")
     assert (rep3.n, rep3.k) == (3, 1)
-    assert rep3.generator_strings() == ["ZZI", "ZIZ"]
+    assert [str(g) for g in rep3.generators] == ["ZZI", "ZIZ"]
     assert str(rep3.logical_x[0]) == "XXX" and str(rep3.logical_z[0]) == "ZII"
 
     dfs2 = stabilizer.builtin("dfs-2")
     assert (dfs2.n, dfs2.k) == (2, 1)
-    assert dfs2.generator_strings() == ["XX"]
+    assert [str(g) for g in dfs2.generators] == ["XX"]
     assert dfs2.passive_mask == (True,)
     assert str(dfs2.logical_x[0]) == "XI" and str(dfs2.logical_z[0]) == "ZZ"
 
     kl5 = stabilizer.builtin("knill-laflamme-5")
     assert (kl5.n, kl5.k) == (5, 1)
-    assert kl5.generator_strings() == ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+    assert [str(g) for g in kl5.generators] == ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 
 
 def test_builtin_unknown_name_lists_valid():
