@@ -8,15 +8,13 @@ layer at (mu, p), every outer layer at (0, inner result).
 
 The three-qubit repetition formula is implemented as the chain expansion
 (3p^2 - 2p^3)(1-mu)^2 + p mu (2-mu); its mu=0 and mu=1 limits are pinned by
-regression tests.  A code's layers, per variant, come from its
-:data:`qdq.concat.REGISTRY` record.  Three variants exist:
-
-* ``literal`` (default): full recursion with the four-letter subspace
-  failure 1 - (1-p)a - (p/3)((p/3)(1-mu) + mu) as the inner/outer layer.
-* ``printed``: the simplified (2/3) r (1-r) outer form for dq10, which
-  never crosses the identity line on (0, 0.5).
-* ``table``: qd10 with the two-letter subspace failure 2p(1-p)(1-mu) as
-  the inner layer, matching the tabulated threshold digits.
+regression tests.  A code's curves are the layer lists, by variant name,
+of its :data:`qdq.concat.REGISTRY` record: ``literal`` for every code, with
+the four-letter subspace failure 1 - (1-p)a - (p/3)((p/3)(1-mu) + mu) as
+the inner/outer layer; ``printed`` for dq10, the simplified (2/3) r (1-r)
+outer form, which never crosses the identity line on (0, 0.5); and
+``table`` for qd10, the two-letter subspace failure 2p(1-p)(1-mu) as the
+inner layer, matching the tabulated threshold digits.
 
 The pseudothreshold of a curve is its lowest crossing pf(p) = p, below which
 encoding helps: :func:`pseudothreshold` finds it as the first sign change of
@@ -158,15 +156,13 @@ def concat_pf(layers: Sequence[Callable[[float, float], float]], mu: float, p: f
 # Concatenated code curves and variants
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("literal", "printed", "table")
-
 
 def code_failure(code_id: str, variant: str = "literal") -> Callable[[float, float], float]:
-    """(mu, p) -> failure probability for one concatenated code curve."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}")
-    rec = concat.record(code_id)
-    layers = [formula(name) for name in rec.variant_layers.get(variant, rec.layers)]
+    """(mu, p) -> failure probability of one of the code's curves."""
+    curves = concat.record(code_id).curves
+    if variant not in curves:
+        raise ValueError(f"{code_id} has no variant {variant!r}; valid: {', '.join(curves)}")
+    layers = [formula(name) for name in curves[variant]]
     return lambda mu, p: concat_pf(layers, mu, p)
 
 
@@ -252,20 +248,29 @@ def pseudothreshold(pf_curve: Callable[[float], float]) -> Optional[float]:
     return 0.5 * (lo + hi)
 
 
-def depth_recursion(
-    code_pf: Callable[[float], float], depth: int
-) -> Callable[[float], float]:
-    """depth-fold self-composition; fixed points of code_pf are preserved."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+def depth_ladder(code_pf: Callable[[float], float]) -> Callable[[int], Callable[[float], float]]:
+    """depth -> code_pf composed depth times; fixed points are preserved.  The
+    depths share each point's iterates, so depths 1 ... D cost D calls a point."""
+    iterates: dict[float, list[float]] = {}
 
-    def composed(p: float) -> float:
-        value = p
-        for _ in range(depth):
-            value = code_pf(value)
-        return value
+    def at_depth(depth: int) -> Callable[[float], float]:
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
 
-    return composed
+        def composed(p: float) -> float:
+            chain = iterates.setdefault(p, [p])
+            while len(chain) <= depth:
+                chain.append(code_pf(chain[-1]))
+            return chain[depth]
+
+        return composed
+
+    return at_depth
+
+
+def depth_recursion(code_pf: Callable[[float], float], depth: int) -> Callable[[float], float]:
+    """code_pf composed depth times: one rung of :func:`depth_ladder`."""
+    return depth_ladder(code_pf)(depth)
 
 
 def failure_curve(

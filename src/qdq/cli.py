@@ -14,9 +14,13 @@ is a usage error, and so is a ``dfs build`` group on more than
 ``concat.MAX_CORRECTABLE`` (65,536) correctable errors.  ``threshold
 --depth`` is at most ``MAX_DEPTH`` (100), ``--shots`` of ``mc run`` and
 ``verify`` at most ``MAX_SHOTS`` (10^9), and an ``--out`` that names a
-directory or a path in a missing directory is a usage error.  Code ids,
-curve variants and the variant ``table1`` reports come from
-:data:`qdq.concat.REGISTRY`.
+directory or a path in a missing directory is a usage error.  So is a
+``--variant`` the code's record has no curve for, and a ``verify --code``
+or ``--shots`` beside a ``--suite`` that does not read it (``codewords``
+reads ``--code``, ``mc`` reads ``--shots``).  Code ids, curve variants and
+the variant ``table1`` reports come from :data:`qdq.concat.REGISTRY`.  The
+closed-form commands import no numpy: ``dfs``, ``mc`` and ``verify`` are
+imported by their own handlers.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from . import analytic, concat, dfs, mc, stabilizer, statevec, verify
+from . import analytic, concat, stabilizer
 from .analytic import Alphabet, NoiseModel
 
 
@@ -42,17 +46,29 @@ MAX_SWEEP_ROWS = 1_000_000
 MAX_DFS_PAIRS = 4**10
 
 # Deepest ``threshold --depth``: every depth from 1 to D is solved and printed
-# in ``per_depth``.  Each point's iterates are kept, so the curve evaluations
-# grow as D, not D^2.
+# in ``per_depth``, each on a rung of one ``analytic.depth_ladder``, so the
+# curve evaluations grow as D, not D^2.
 MAX_DEPTH = 100
 
 # Most ``--shots`` of ``mc run`` or ``verify``: about 30 s at the 30-36 M
 # shots/s of the ten-qubit codes.
 MAX_SHOTS = 10**9
 
+# ``verify --suite`` choices, spelled out so that parsing imports no numpy;
+# a test keeps them equal to ``verify.SUITES``.
+VERIFY_SUITES = ("pauli", "stabilizer", "dfs", "concat", "codewords", "kl", "analytic", "mc")
+
 
 class _UsageError(ValueError):
     """Bad input that only a handler can detect; exits 2 like a parse error."""
+
+
+def _curve(code_id: str, mu: float, variant: str) -> Callable[[float], float]:
+    """p -> pf on one of the code's curves; a variant it lacks is a usage error."""
+    try:
+        return analytic.failure_curve(code_id, mu, variant)
+    except ValueError as exc:
+        raise _UsageError(f"--variant {variant}: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -132,6 +148,8 @@ def _cmd_concat(args: argparse.Namespace) -> int:
 
 
 def _cmd_dfs(args: argparse.Namespace) -> int:
+    from . import dfs, statevec
+
     try:
         group = dfs.AbelianErrorGroup.from_strings(args.elements.split(","))
     except ValueError as exc:
@@ -176,12 +194,12 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"--step {args.step} asks for {span + 1:.0f} rows; the cap is {MAX_SWEEP_ROWS}"
         )
-    pf = analytic.code_failure(args.code, args.variant)
+    curve = _curve(args.code, args.mu, args.variant)
     # The last row is the last grid point <= pmax, up to float division.
     lines = ["p,mu,pf,fe"]
     for i in range(math.floor(span + 1e-9) + 1):
         p = min(args.pmin + i * args.step, args.pmax)
-        value = pf(args.mu, p)
+        value = curve(p)
         fe = analytic.entanglement_fidelity(value)
         lines.append(f"{p:.6g},{args.mu:.6g},{value:.6g},{fe:.6g}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -189,24 +207,10 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    base = analytic.failure_curve(args.code, args.mu, args.variant)
-    # iterates[p][d] is the curve composed d times at p, built by the float
-    # steps depth_recursion takes, so depth d reuses every shallower depth's
-    # values at the points the solves share.
-    iterates: dict[float, list[float]] = {}
-
-    def composed(depth: int) -> Callable[[float], float]:
-        def curve(p: float) -> float:
-            chain = iterates.setdefault(p, [p])
-            while len(chain) <= depth:
-                chain.append(base(chain[-1]))
-            return chain[depth]
-
-        return curve
-
+    ladder = analytic.depth_ladder(_curve(args.code, args.mu, args.variant))
     per_depth = {}
     for depth in range(1, args.depth + 1):
-        thr = analytic.pseudothreshold(composed(depth))
+        thr = analytic.pseudothreshold(ladder(depth))
         per_depth[str(depth)] = "no-crossing" if thr is None else thr
     payload = {
         "code": args.code,
@@ -221,6 +225,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    from . import mc
+
     alphabet = (
         Alphabet(args.alphabet) if args.alphabet else mc.default_alphabet(args.code)
     )
@@ -248,8 +254,14 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    for flag, suite in (("code", "codewords"), ("shots", "mc")):
+        if args.suite not in (None, suite) and getattr(args, flag) is not None:
+            raise _UsageError(f"--{flag} is read only by --suite {suite}, not {args.suite}")
+    from . import verify
+
     names = [args.suite] if args.suite else None
-    checks = verify.run_suites(names, code_filter=args.code, mc_shots=args.shots)
+    shots = {} if args.shots is None else {"mc_shots": args.shots}
+    checks = verify.run_suites(names, code_filter=args.code, **shots)
     failures = 0
     lines = []
     for name, ok, detail in checks:
@@ -369,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     base_names = stabilizer.builtin_names()
     code_ids = concat.code_ids()
+    variants = sorted({v for rec in concat.REGISTRY.values() for v in rec.curves})
 
     codes = sub.add_parser("codes", help="base code registry")
     codes_sub = codes.add_subparsers(dest="action", required=True)
@@ -407,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pmin", type=_unit_interval, required=True)
     sweep.add_argument("--pmax", type=_unit_interval, required=True)
     sweep.add_argument("--step", type=_positive_float, required=True)
-    sweep.add_argument("--variant", default="literal", choices=analytic.VARIANTS)
+    sweep.add_argument("--variant", default="literal", choices=variants)
     _add_out(sweep)
     sweep.set_defaults(handler=_cmd_fidelity)
 
     thr = sub.add_parser("threshold", help="pseudothreshold root finding")
     thr.add_argument("--code", required=True, choices=code_ids)
     thr.add_argument("--mu", type=_unit_interval, default=0.0)
-    thr.add_argument("--variant", default="literal", choices=analytic.VARIANTS)
+    thr.add_argument("--variant", default="literal", choices=variants)
     thr.add_argument("--depth", type=_positive_int_at_most(MAX_DEPTH), default=1)
     _add_out(thr)
     thr.set_defaults(handler=_cmd_threshold)
@@ -437,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(handler=_cmd_mc)
 
     ver = sub.add_parser("verify", help="run self-check suites")
-    ver.add_argument("--suite", choices=list(verify.SUITES), default=None)
+    ver.add_argument("--suite", choices=VERIFY_SUITES, default=None)
     ver.add_argument(
         "--code",
         default=None,
@@ -445,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict codeword checks",
     )
     ver.add_argument(
-        "--shots", type=_positive_int_at_most(MAX_SHOTS), default=100_000, help="MC suite shots"
+        "--shots", type=_positive_int_at_most(MAX_SHOTS), default=None, help="MC suite shots"
     )
     _add_out(ver)
     ver.set_defaults(handler=_cmd_verify)

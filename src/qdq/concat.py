@@ -22,7 +22,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -335,33 +335,32 @@ class ConcatCode:
 @dataclass(frozen=True)
 class Concatenation:
     """One registered concatenation: how it is built, its Monte Carlo letter
-    alphabet, its ``table1`` row, and its recursion as stand-alone formula
-    names, outer first, which ``variant_layers`` replaces per curve variant."""
+    alphabet, its ``table1`` row, and its curves, each variant's formula
+    names outer first: ``literal`` always, ``table_variant`` one of them."""
 
     outer: str
     inner: str
     order: Order
     alphabet: str
     e_type: str
-    layers: tuple[str, ...]
+    curves: dict[str, tuple[str, ...]]
     table_variant: str = "literal"
-    variant_layers: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 REGISTRY: dict[str, Concatenation] = {
     "qd6": Concatenation("repetition-3", "dfs-2", Order.QD, "bitflip", "X,XX",
-                         ("rep3", "dfs2-bitflip")),
+                         {"literal": ("rep3", "dfs2-bitflip")}),
     "dq6": Concatenation("dfs-2", "repetition-3", Order.DQ, "bitflip", "X,XX",
-                         ("dfs2-bitflip", "rep3")),
+                         {"literal": ("dfs2-bitflip", "rep3")}),
     # The two-letter inner form reproduces the tabulated threshold digits.
     "qd10": Concatenation(
         "knill-laflamme-5", "dfs-2", Order.QD, "depolarizing3", "X,Y,Z,XX",
-        ("kl5", "dfs2-depolarizing3"), "table", {"table": ("kl5", "dfs2-bitflip")},
+        {"literal": ("kl5", "dfs2-depolarizing3"), "table": ("kl5", "dfs2-bitflip")}, "table",
     ),
     # The printed outer form never crosses the identity line on (0, 0.5).
     "dq10": Concatenation(
         "dfs-2", "knill-laflamme-5", Order.DQ, "depolarizing3", "X,Y,Z,XX",
-        ("dfs2-depolarizing3", "kl5"), variant_layers={"printed": ("dfs2-printed", "kl5")},
+        {"literal": ("dfs2-depolarizing3", "kl5"), "printed": ("dfs2-printed", "kl5")},
     ),
 }
 

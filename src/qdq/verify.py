@@ -337,8 +337,11 @@ def suite_analytic() -> list[Check]:
             continue
         variant = concat.REGISTRY[cid].table_variant
         want, tol = _tables.SUMMARY[cid]["p_thres"]
-        curve = analytic.failure_curve(cid, 0.0, variant)
-        thr = analytic.pseudothreshold(curve)
+        ladder = analytic.depth_ladder(analytic.failure_curve(cid, 0.0, variant))
+        # A fixed point of the curve is one of every self-concatenation, and
+        # below the lowest one pf(p) - p keeps its sign at every depth.
+        roots = [analytic.pseudothreshold(ladder(d)) for d in (1, 2, 3, 4)]
+        thr = roots[0]
         checks.append(
             _check(
                 f"analytic.threshold-{cid}-{variant}",
@@ -346,11 +349,6 @@ def suite_analytic() -> list[Check]:
                 f"got {thr}",
             )
         )
-        # A fixed point of the curve is one of every self-concatenation, and
-        # below the lowest one pf(p) - p keeps its sign at every depth.
-        roots = [thr] + [
-            analytic.pseudothreshold(analytic.depth_recursion(curve, d)) for d in (2, 3, 4)
-        ]
         ok = None not in roots and max(roots) - min(roots) < 1e-6
         ok = ok and all(abs(r - want) <= tol for r in roots)
         depth.append(_check(f"analytic.depth-invariance-{cid}", ok, f"roots {roots}"))

@@ -279,6 +279,25 @@ def test_pseudothreshold_root_is_fixed_point():
     assert abs(curve(root) - root) < 1e-8
 
 
+def test_depth_ladder_equals_plain_composition():
+    # Roots cannot tell depths apart (a fixed point is one at every depth),
+    # so the rungs are compared by value, deep rungs first and then shallow
+    # ones, which read iterates the deep calls left behind.
+    def composed(curve, depth, p):
+        for _ in range(depth):
+            p = curve(p)
+        return p
+
+    for mu in (0.0, 0.4):
+        curve = analytic.failure_curve("qd10", mu, "table")
+        ladder = analytic.depth_ladder(curve)
+        for depth in (6, 3, 1, 5, 2, 4):
+            for p in (0.001, 0.03, 0.1, 0.3):
+                want = composed(curve, depth, p)
+                assert ladder(depth)(p) == want, (mu, depth, p)
+                assert analytic.depth_recursion(curve, depth)(p) == want, (mu, depth, p)
+
+
 def test_depth_recursion_basics():
     curve = analytic.failure_curve("dq6", 0.0)
     assert analytic.depth_recursion(curve, 1)(0.1) == curve(0.1)
@@ -313,13 +332,7 @@ def test_pseudothreshold_is_the_lowest_crossing():
 
 
 SCAN = [i * analytic.GRID_STEP for i in range(1, round(analytic.UPPER / analytic.GRID_STEP))]
-# Every distinct curve: a variant a record does not override is its literal one.
-CURVES = [
-    (cid, variant)
-    for cid in concat.code_ids()
-    for variant in analytic.VARIANTS
-    if variant == "literal" or variant in concat.REGISTRY[cid].variant_layers
-]
+CURVES = [(cid, variant) for cid in concat.code_ids() for variant in concat.REGISTRY[cid].curves]
 
 
 @pytest.mark.parametrize("code_id, variant", CURVES)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qdq import analytic, cli, concat
+from qdq import analytic, cli, concat, mc
 
 
 def run(capsys, *argv):
@@ -142,14 +142,20 @@ def test_threshold_printed_dq10_reports_no_crossing(capsys):
 
 @pytest.mark.parametrize("code_id", concat.code_ids())
 def test_threshold_per_depth_equals_each_depth_solved_alone(capsys, code_id):
-    # The memoized iterates are the float steps depth_recursion takes.
-    for variant in analytic.VARIANTS:
+    # The ladder's shared iterates are the float steps of a plain composition.
+    for variant in concat.REGISTRY[code_id].curves:
         for mu in (0.0, 0.4, 0.75):
             payload = run_json(capsys, "threshold", "--code", code_id, "--variant", variant,
                                "--mu", str(mu), "--depth", "6")
             base = analytic.failure_curve(code_id, mu, variant)
             for depth in range(1, 7):
-                thr = analytic.pseudothreshold(analytic.depth_recursion(base, depth))
+
+                def composed(p, depth=depth):
+                    for _ in range(depth):
+                        p = base(p)
+                    return p
+
+                thr = analytic.pseudothreshold(composed)
                 want = "no-crossing" if thr is None else thr
                 assert payload["per_depth"][str(depth)] == want, (variant, mu, depth)
 
@@ -233,7 +239,7 @@ def test_mc_run_off_the_record_alphabet_has_no_analytic_value(capsys):
 
 
 def test_non_finite_json_value_is_an_exit_one_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli.mc, "analytic_reference", lambda code_id, model: float("nan"))
+    monkeypatch.setattr(mc, "analytic_reference", lambda code_id, model: float("nan"))
     code = cli.main(["mc", "run", "--code", "qd6", "--p", "0.1", "--mu", "0",
                      "--shots", "100", "--seed", "1"])
     captured = capsys.readouterr()
@@ -246,6 +252,26 @@ def test_verify_single_suite_exits_zero(capsys):
     assert code == 0
     assert "[PASS] pauli.round-trip-exhaustive-n<=3" in out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "pauli", "--shots", "5"],
+    ["verify", "--suite", "pauli", "--code", "qd6"],
+    ["verify", "--suite", "mc", "--code", "qd6"],
+    ["verify", "--suite", "codewords", "--shots", "5"],
+])
+def test_verify_flag_its_suite_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "is read only by --suite" in json.loads(captured.err)["error"]
+
+
+def test_verify_code_is_read_by_the_codewords_suite(capsys):
+    code, out = run(capsys, "verify", "--suite", "codewords", "--code", "qd10")
+    assert code == 0
+    assert "qd10" in out and "qd6" not in out
 
 
 def test_usage_error_exits_two(capsys):

@@ -18,7 +18,7 @@ import time
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from qdq import analytic, cli, concat, stabilizer, verify
+from qdq import cli, concat, stabilizer, verify
 from qdq.analytic import Alphabet
 
 WALL_S = 5.0
@@ -27,7 +27,7 @@ ODD = ["0", "1", "-0", "nan", "inf", "1e308", "-1", "", "bogus", "1" + "0" * 30,
 UNIT = ["0", "0.05", "0.3", "1"]
 CODES = [*concat.code_ids(), "qd7"]
 BASE = [*stabilizer.builtin_names(), "nope"]
-VARIANTS = [*analytic.VARIANTS, "bogus"]
+VARIANTS = [*sorted({v for rec in concat.REGISTRY.values() for v in rec.curves}), "bogus"]
 SHOTS = ["1", "10", "100", str(cli.MAX_SHOTS + 1)]
 # The 15-qubit pairs take about 0.5 s to build; knill-laflamme-5 twice is
 # over the correctable-error cap and exits at once.

@@ -12,8 +12,10 @@ from qdq import _kernels, analytic, concat, mc, pauli, stabilizer
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
-@pytest.mark.parametrize("variant", analytic.VARIANTS)
-@pytest.mark.parametrize("code_id", concat.code_ids())
+@pytest.mark.parametrize(
+    "code_id, variant",
+    [(cid, variant) for cid in concat.code_ids() for variant in concat.REGISTRY[cid].curves],
+)
 @given(p=unit, mu=unit)
 @example(p=0.001, mu=0.4)  # qd10/table at depth 4 once raised on a -1.1e-16 layer
 def test_depth_recursion_stays_a_probability(code_id, variant, p, mu):

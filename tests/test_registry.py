@@ -13,7 +13,7 @@ def qd6_copy(monkeypatch):
 
 
 def test_record_alone_defines_the_curves(qd6_copy):
-    for variant in analytic.VARIANTS:
+    for variant in concat.REGISTRY["qd6"].curves:
         copy = analytic.code_failure(qd6_copy, variant)
         original = analytic.code_failure("qd6", variant)
         for mu, p in ((0.0, 0.1), (0.5, 0.2), (1.0, 0.3)):
@@ -48,9 +48,9 @@ def test_record_and_its_fixtures_alone_pass_verify(qd6_copy, monkeypatch, capsys
 def test_every_record_names_known_formulas_and_variants():
     for cid in concat.code_ids():
         record = concat.REGISTRY[cid]
-        assert set(record.variant_layers) <= set(analytic.VARIANTS), cid
-        assert record.table_variant in analytic.VARIANTS, cid
-        for layers in (record.layers, *record.variant_layers.values()):
+        assert "literal" in record.curves, cid
+        assert record.table_variant in record.curves, cid
+        for layers in record.curves.values():
             assert layers and all(analytic.formula(name) for name in layers), cid
 
 
