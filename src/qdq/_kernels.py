@@ -20,7 +20,7 @@ class tuples.
 
 The positional signature (``block_sizes`` all ones; ``cum_conditional``,
 whose rows equal ``cum_marginal`` for independent blocks, unread) is held
-for perfbench's private kernel probe until ROADMAP item 1 replaces it.
+for perfbench's private kernel probe until ROADMAP item 18 removes it.
 That probe passes (shots, n_cc) uniforms, of which only the ``block_starts``
 columns are read.
 """

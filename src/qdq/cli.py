@@ -367,10 +367,12 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _add_out(parser: argparse.ArgumentParser) -> None:
+def _leaf(parser: argparse.ArgumentParser, handler: Callable, **defaults: Any) -> None:
+    """Add --out and bind the handler; the leaf reports its handler's usage errors."""
     parser.add_argument(
         "--out", type=_out_path, help="write output to this path instead of stdout"
     )
+    parser.set_defaults(handler=handler, parser=parser, **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,12 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     codes = sub.add_parser("codes", help="base code registry")
     codes_sub = codes.add_subparsers(dest="action", required=True)
     codes_list = codes_sub.add_parser("list", help="list built-in code names")
-    _add_out(codes_list)
-    codes_list.set_defaults(handler=_cmd_codes, action="list")
+    _leaf(codes_list, _cmd_codes, action="list")
     codes_desc = codes_sub.add_parser("describe", help="JSON description of one code")
     codes_desc.add_argument("name", choices=base_names)
-    _add_out(codes_desc)
-    codes_desc.set_defaults(handler=_cmd_codes, action="describe")
+    _leaf(codes_desc, _cmd_codes, action="describe")
 
     conc = sub.add_parser("concat", help="build a concatenated code")
     conc_sub = conc.add_subparsers(dest="action", required=True)
@@ -399,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     conc_build.add_argument("--outer", required=True, choices=base_names)
     conc_build.add_argument("--inner", required=True, choices=base_names)
     conc_build.add_argument("--order", required=True, choices=["qd", "dq"])
-    _add_out(conc_build)
-    conc_build.set_defaults(handler=_cmd_concat)
+    _leaf(conc_build, _cmd_concat)
 
     dfs_p = sub.add_parser("dfs", help="decoherence-free subspace construction")
     dfs_sub = dfs_p.add_subparsers(dest="action", required=True)
@@ -409,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--elements", default="II,XX", help="comma-separated group elements"
     )
     dfs_build.add_argument("--character", type=int, default=None)
-    _add_out(dfs_build)
-    dfs_build.set_defaults(handler=_cmd_dfs)
+    _leaf(dfs_build, _cmd_dfs)
 
     fid = sub.add_parser("fidelity", help="failure/fidelity curves")
     fid_sub = fid.add_subparsers(dest="action", required=True)
@@ -421,16 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pmax", type=_unit_interval, required=True)
     sweep.add_argument("--step", type=_positive_float, required=True)
     sweep.add_argument("--variant", default="literal", choices=variants)
-    _add_out(sweep)
-    sweep.set_defaults(handler=_cmd_fidelity)
+    _leaf(sweep, _cmd_fidelity)
 
     thr = sub.add_parser("threshold", help="pseudothreshold root finding")
     thr.add_argument("--code", required=True, choices=code_ids)
     thr.add_argument("--mu", type=_unit_interval, default=0.0)
     thr.add_argument("--variant", default="literal", choices=variants)
     thr.add_argument("--depth", type=_positive_int_at_most(MAX_DEPTH), default=1)
-    _add_out(thr)
-    thr.set_defaults(handler=_cmd_threshold)
+    _leaf(thr, _cmd_threshold)
 
     mc_p = sub.add_parser("mc", help="Monte Carlo failure estimation")
     mc_sub = mc_p.add_subparsers(dest="action", required=True)
@@ -446,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="defaults per code family: bitflip for 6 qubits, depolarizing3 for 10",
     )
-    _add_out(run)
-    run.set_defaults(handler=_cmd_mc)
+    _leaf(run, _cmd_mc)
 
     ver = sub.add_parser("verify", help="run self-check suites")
     ver.add_argument("--suite", choices=VERIFY_SUITES, default=None)
@@ -460,12 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--shots", type=_positive_int_at_most(MAX_SHOTS), default=None, help="MC suite shots"
     )
-    _add_out(ver)
-    ver.set_defaults(handler=_cmd_verify)
+    _leaf(ver, _cmd_verify)
 
     tab = sub.add_parser("table1", help="summary metrics for the four codes")
-    _add_out(tab)
-    tab.set_defaults(handler=_cmd_table1)
+    _leaf(tab, _cmd_table1)
 
     return parser
 
@@ -476,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.handler(args)
     except _UsageError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1

@@ -15,18 +15,18 @@ documented here but not modelled.
 The decoder sees a block only through its class, a coset of the inner
 code's stabilizer group among the block's L^b letter patterns: errors that
 differ by inner stabilizers decode alike.  Classes and failures both come
-from check words, an error's anticommutation bits with a k = 1 code's
-generators and logical X and Z: a GF(2)-linear map whose kernel is the
-stabilizer group.  A block's class is its inner word, the pair (inner
-syndrome, inner logical class).  Each shot draws one uniform per block and
-turns it into that block's class by inverse CDF over the class law; the
-class tuple indexes a failure table over all C^B tuples, folded from the
-words of each class's representative.  Sampling is one numpy kernel
-(:func:`qdq._kernels.count_failures`).  The class CDF is the pattern CDF,
-with patterns sorted by class, read at each class's last pattern, so the
-slow per-shot reference path (sample_error, which draws a real letter
-pattern from the same uniform, then decode_shot) must agree with the
-kernel shot-for-shot.
+from :func:`qdq.stabilizer.check_word`, an error's anticommutation bits
+with a k = 1 code's generators and logical X and Z: a GF(2)-linear map
+whose kernel is the stabilizer group.  A block's class is its inner word,
+the pair (inner syndrome, inner logical class).  Each shot draws one
+uniform per block and turns it into that block's class by inverse CDF over
+the class law; the class tuple indexes a failure table over all C^B
+tuples, folded from the words of each class's representative.  Sampling is
+one numpy kernel (:func:`qdq._kernels.count_failures`).  The class CDF is
+the pattern CDF, with patterns sorted by class, read at each class's last
+pattern, so the slow per-shot reference path (sample_error, which draws a
+real letter pattern from the same uniform, then decode_shot) must agree
+with the kernel shot-for-shot.
 
 The estimator reproduces the closed-form recursion exactly for the
 six-qubit codes under bit-flip noise.  For the ten-qubit codes the two
@@ -114,23 +114,6 @@ class _BlockClasses:
     ends: np.ndarray
 
 
-def _check_words(code: stabilizer.StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each error's check word, from its bits (x, z): bit i is whether it
-    anticommutes with generator i, the next two bits with logical X and Z.
-
-    GF(2)-linear in the error; for k = 1 its kernel is exactly the stabilizer
-    group (mod phase), so errors share a word iff they differ by a stabilizer.
-    """
-    if code.k != 1:
-        raise ValueError(f"check words need k = 1, {code.name} has k = {code.k}")
-    checks = (*code.generators, code.logical_x[0], code.logical_z[0])
-    word = np.zeros(np.shape(x), dtype=np.uint32)
-    for i, check in enumerate(checks):
-        anti = np.bitwise_count(x & check.z) + np.bitwise_count(z & check.x)
-        word |= (anti & 1).astype(np.uint32) << i
-    return word
-
-
 @functools.lru_cache(maxsize=None)
 def _block_classes(inner: stabilizer.StabilizerCode, alphabet: Alphabet) -> _BlockClasses:
     """Cosets of the inner stabilizer group among one block's patterns.
@@ -149,7 +132,7 @@ def _block_classes(inner: stabilizer.StabilizerCode, alphabet: Alphabet) -> _Blo
     x = x_bit[letters] @ weights
     z = z_bit[letters] @ weights
 
-    words = _check_words(inner, x, z)
+    words = [stabilizer.check_word(inner, xi, zi) for xi, zi in zip(x.tolist(), z.tolist())]
     _, first, inverse = np.unique(words, return_index=True, return_inverse=True)
     number = np.empty(first.size, dtype=np.int64)
     number[np.argsort(first)] = np.arange(first.size)
@@ -203,16 +186,16 @@ def _failure_table(code_id: str, alphabet: Alphabet) -> np.ndarray:
     code = ccode.code
     classes = _block_classes(ccode.spec.inner, alphabet)
     starts = np.concatenate(([0], classes.ends[:-1]))
-    rep_x, rep_z = classes.x[starts], classes.z[starts]
+    reps = list(zip(classes.x[starts].tolist(), classes.z[starts].tolist()))
 
-    word = np.zeros(1, dtype=np.uint32)
+    word = np.zeros(1, dtype=np.int64)
     for block in reversed(ccode.spec.blocks):
-        word_b = _check_words(code, rep_x << block[0], rep_z << block[0])
+        shift = block[0]
+        word_b = np.array([stabilizer.check_word(code, x << shift, z << shift) for x, z in reps])
         word = (word[:, None] ^ word_b[None, :]).ravel()
 
     correct = np.zeros(1 << (len(code.generators) + 2), dtype=bool)
-    corr = np.array([(c.x, c.z) for c in ccode.table.values()], dtype=np.int64)
-    correct[_check_words(code, corr[:, 0], corr[:, 1])] = True
+    correct[[stabilizer.check_word(code, c.x, c.z) for c in ccode.table.values()]] = True
     return (~correct[word]).view(np.uint8)
 
 

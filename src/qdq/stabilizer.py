@@ -1,4 +1,4 @@
-"""Stabilizer codes: validation, syndromes, error classification, degeneracy.
+"""Stabilizer codes: validation, syndromes, check words, classification, degeneracy.
 
 A code is held as its generator list plus logical operator representatives
 and a per-generator passive mask (a passive generator is itself a corrected
@@ -156,11 +156,32 @@ def stabilizer_group(code: StabilizerCode) -> tuple[PauliString, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _anticommutes(x: int, z: int, check: PauliString) -> int:
+    """1 iff the error with bits (x, z) anticommutes with check, else 0."""
+    return ((x & check.z) ^ (z & check.x)).bit_count() & 1
+
+
 def syndrome(code: StabilizerCode, error: PauliString) -> tuple[int, ...]:
     """Bit i is 1 iff the error anticommutes with generators[i]."""
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return tuple(0 if pauli.commutes(g, error) else 1 for g in code.generators)
+    return tuple(_anticommutes(error.x, error.z, g) for g in code.generators)
+
+
+def check_word(code: StabilizerCode, x: int, z: int) -> int:
+    """The check word of the error with bits (x, z): bit i is whether it
+    anticommutes with generator i, the next two bits with logical X and Z.
+
+    GF(2)-linear in the error; for k = 1 its kernel is exactly the stabilizer
+    group (mod phase), so errors share a word iff they differ by a stabilizer.
+    Its low r bits are the :func:`syndrome`.
+    """
+    if code.k != 1:
+        raise ValueError(f"check words need k = 1, {code.name} has k = {code.k}")
+    word = 0
+    for i, check in enumerate((*code.generators, code.logical_x[0], code.logical_z[0])):
+        word |= _anticommutes(x, z, check) << i
+    return word
 
 
 def classify(code: StabilizerCode, error: PauliString) -> ErrorClassification:

@@ -319,12 +319,20 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
         (("dfs", "build", "--elements", "I" * 13 + "," + "X" * 13), "--elements"),
         # Checked before any curve is evaluated, so no large sweep starts.
         (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "1e-9"), "--step"),
+        (("threshold", "--code", "qd6", "--variant", "printed"), "--variant"),
+        (SWEEP + ("--pmin", "0", "--pmax", "0.1", "--step", "0.01", "--variant", "table"),
+         "--variant"),
+        (("dfs", "build", "--elements", "I" * 11 + "," + "X" * 11), "--elements"),
+        (CONCAT_BUILD + ("--outer", "knill-laflamme-5", "--inner", "knill-laflamme-5"), "--outer"),
+        (("verify", "--suite", "pauli", "--shots", "5"), "--shots"),
     ],
     ids=["step-zero", "step-negative", "step-inf", "step-nan", "pmin-above-pmax", "depth-zero",
          "verify-unknown-code", "p-above-one", "shots-not-integer",
          "concat-unknown-outer", "concat-unknown-inner", "dfs-character-out-of-range",
          "dfs-elements-bad-letter", "dfs-elements-no-identity",
-         "dfs-elements-over-qubit-cap", "sweep-rows-over-cap"],
+         "dfs-elements-over-qubit-cap", "sweep-rows-over-cap", "threshold-variant-missing",
+         "sweep-variant-missing", "dfs-pairs-over-cap", "concat-over-cap",
+         "verify-flag-beside-wrong-suite"],
 )
 def test_bad_flag_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:
@@ -334,7 +342,9 @@ def test_bad_flag_is_a_usage_error(capsys, argv, flag):
     assert captured.out == ""
     record = json.loads(captured.err)
     assert flag in record["error"]
-    assert record["usage"].startswith("usage: qdq")
+    # Parse-time and handler-raised errors alike show the subcommand's usage.
+    subcommand = " ".join(arg for arg in argv[:2] if not arg.startswith("-"))
+    assert record["usage"].startswith(f"usage: qdq {subcommand} ")
 
 
 OUT_COMMANDS = [

@@ -276,8 +276,10 @@ def test_equal_check_words_iff_degenerate(name, data):
             b = pauli.multiply(b, g)
     if data.draw(st.booleans()):
         b = pauli.multiply(b, data.draw(pauli_strings(code.n)))
-    word_a, word_b = (int(mc._check_words(code, p.x, p.z)) for p in (a, b))
+    word_a, word_b = (stabilizer.check_word(code, p.x, p.z) for p in (a, b))
     assert (word_a == word_b) == stabilizer.are_degenerate(code, a, b)
+    r = len(code.generators)
+    assert tuple(word_a >> i & 1 for i in range(r)) == stabilizer.syndrome(code, a)
 
 
 MINUS_I = "-I (or +/-i I) lies in the generated group"

@@ -87,6 +87,21 @@ def test_syndrome_examples():
     assert stabilizer.syndrome(qd6, pauli.identity(6)) == (0,) * 5
 
 
+def test_check_word_examples():
+    rep3 = stabilizer.builtin("repetition-3")
+    # Syndrome (1, 1), then X_bar = XXX commutes and Z_bar = ZII anticommutes.
+    x = pauli.parse("XII")
+    assert stabilizer.check_word(rep3, x.x, x.z) == 0b1011
+    z = pauli.parse("ZII")
+    assert stabilizer.check_word(rep3, z.x, z.z) == 0b0100
+    two = stabilizer.StabilizerCode(
+        "two", 2, 2, (), (pauli.parse("XI"), pauli.parse("IX")),
+        (pauli.parse("ZI"), pauli.parse("IZ")), ()
+    )
+    with pytest.raises(ValueError, match="k = 1"):
+        stabilizer.check_word(two, 0, 0)
+
+
 def test_syndrome_dimension_mismatch():
     rep3 = stabilizer.builtin("repetition-3")
     with pytest.raises(ValueError):
