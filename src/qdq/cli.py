@@ -174,11 +174,11 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
     for index, chi in enumerate(chars):
         if args.character is not None and index != args.character:
             continue
-        basis = dfs.df_basis(group, chi)
+        basis = dfs.df_basis(chi)
         payload["characters"].append(
             {
                 "index": index,
-                "signs": list(chi.signs(group)),
+                "signs": list(chi.signs()),
                 "basis": [[[a.real, a.imag] for a in vec] for vec in basis],
             }
         )

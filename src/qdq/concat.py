@@ -86,8 +86,8 @@ def concat_size(n_o: int, k_o: int, n_i: int, k_i: int) -> tuple[int, int]:
 
 def make_spec(outer: StabilizerCode, inner: StabilizerCode, order: Order) -> ConcatSpec:
     n_cc, k_cc = concat_size(outer.n, outer.k, inner.n, inner.k)
-    if inner.k != 1:
-        raise ValueError("structural assembly supports inner codes with k=1 only")
+    if outer.k != 1 or inner.k != 1:
+        raise ValueError("structural assembly supports outer and inner codes with k=1 only")
     blocks = tuple(
         tuple(range(b * inner.n, (b + 1) * inner.n)) for b in range(outer.n)
     )

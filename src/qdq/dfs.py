@@ -6,9 +6,11 @@ sign lives in the characters, each kept as its r signs on the generators
 decomposition.  chi's subspace is the +1 space of the r signed generators
 chi(g)*g, of dimension 2^(n-r); it is exported as a fully passive stabilizer
 code, and its basis is projected from one basis state per surviving X-orbit,
-with the dense :func:`projector` kept only as the reference.  Characters,
-orbits and logical pairs (symplectic Gram-Schmidt, :func:`_complete_logicals`)
-are GF(2) linear algebra over packed rows, with no search over elements.
+with the dense :func:`projector` kept only as the reference.  Each function
+of a subspace takes its character alone: a character knows its group.
+Characters, orbits and logical pairs (symplectic Gram-Schmidt,
+:func:`_complete_logicals`) are GF(2) linear algebra over packed rows, with
+no search over elements.
 A group is validated once, when it is built, from its r generators.
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import pauli, statevec
 from .pauli import PauliString
-from .stabilizer import RowSpace, StabilizerCode, _row
+from .stabilizer import RowSpace, StabilizerCode, row
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,11 @@ class AbelianErrorGroup:
     def generators(self) -> tuple[PauliString, ...]:
         """Each element independent of the earlier ones, in element order."""
         space = RowSpace([])
-        return tuple(e for e in self.elements if space.add(_row(e)))
+        return tuple(e for e in self.elements if space.add(row(e)))
 
     @functools.cached_property
     def row_space(self) -> RowSpace:
-        return RowSpace(_row(g) for g in self.generators)
+        return RowSpace(row(g) for g in self.generators)
 
 
 def validate_group(group: AbelianErrorGroup) -> None:
@@ -96,10 +98,22 @@ class Character:
     flips: int
 
     def value(self, element: PauliString) -> int:
-        return (-1) ** (self.group.row_space.decompose(_row(element)) & self.flips).bit_count()
+        """chi(element); ValueError unless element is a phase-free group element."""
+        combo = self.group.row_space.decompose(row(element))
+        if combo is None or element.n != self.group.n or element.phase:
+            raise ValueError(f"{element} is not in the group")
+        return (-1) ** (combo & self.flips).bit_count()
 
-    def signs(self, group: AbelianErrorGroup) -> tuple[int, ...]:
-        return tuple(self.value(g) for g in group.elements)
+    def signs(self) -> tuple[int, ...]:
+        return tuple(self.value(g) for g in self.group.elements)
+
+    @property
+    def signed_generators(self) -> tuple[PauliString, ...]:
+        """chi(g)*g = i**(1 - chi(g)) g over the generators; their +1 space is chi's."""
+        return tuple(
+            PauliString(g.n, g.x, g.z, 2 * (self.flips >> i & 1))
+            for i, g in enumerate(self.group.generators)
+        )
 
 
 def characters(group: AbelianErrorGroup) -> list[Character]:
@@ -108,20 +122,22 @@ def characters(group: AbelianErrorGroup) -> list[Character]:
     return [Character(group, sum(1 << i for i, s in enumerate(t) if s < 0)) for t in sign_tuples]
 
 
-def _signed_generators(group: AbelianErrorGroup, chi: Character) -> tuple[PauliString, ...]:
-    """chi(g)*g = i**(1 - chi(g)) g over the generators; their +1 space is chi's."""
-    return tuple(
-        PauliString(g.n, g.x, g.z, 2 * (chi.flips >> i & 1)) for i, g in enumerate(group.generators)
+def projector(chi: Character) -> np.ndarray:
+    """(1/|G|) sum_g chi(g) g as a dense matrix: the reference for df_basis."""
+    elements = chi.group.elements
+    return sum(chi.value(g) * statevec.pauli_matrix(g) for g in elements) / len(elements)
+
+
+def invariant(state: np.ndarray, chi: Character) -> bool:
+    """True iff g|state> = chi(g)|state>, to 1e-10 per amplitude, for every
+    element g of chi's group."""
+    return all(
+        np.max(np.abs(statevec.apply_pauli(g, state) - chi.value(g) * state)) <= 1e-10
+        for g in chi.group.elements
     )
 
 
-def projector(group: AbelianErrorGroup, chi: Character) -> np.ndarray:
-    """(1/|G|) sum_g chi(g) g as a dense matrix: the reference for df_basis."""
-    total = sum(chi.value(g) * statevec.pauli_matrix(g) for g in group.elements)
-    return total / len(group.elements)
-
-
-def df_basis(group: AbelianErrorGroup, chi: Character) -> list[np.ndarray]:
+def df_basis(chi: Character) -> list[np.ndarray]:
     """Orthonormal basis of chi's subspace, without a dense matrix.
 
     P g = chi(g) P, so P|i> is proportional across the X-orbit {i ^ xmask(g)}
@@ -130,34 +146,35 @@ def df_basis(group: AbelianErrorGroup, chi: Character) -> list[np.ndarray]:
     generator rows (xmask | zmask), i is least iff it has no X pivot bit, and
     P|i> != 0 iff chi(h) = (-1)^|i & h| on each X-free row h.
     """
-    n = group.n
-    space = RowSpace((xm << n) | zm for xm, zm in map(statevec._index_masks, group.generators))
+    n = chi.group.n
+    space = RowSpace((xm << n) | zm for xm, zm in map(statevec.index_masks, chi.group.generators))
     index = np.arange(1 << n)
     keep = index & (sum(1 << pivot for pivot, _, _ in space.basis) >> n) == 0
-    for pivot, row, combo in space.basis:
+    for pivot, h, combo in space.basis:
         if pivot < n:
-            keep &= np.bitwise_count(index & row) % 2 == (combo & chi.flips).bit_count() % 2
-    signed = _signed_generators(group, chi)
+            keep &= np.bitwise_count(index & h) % 2 == (combo & chi.flips).bit_count() % 2
+    signed = chi.signed_generators
     images = (statevec.project(statevec.basis_state(n, i), signed) for i in np.flatnonzero(keep))
     return [image / np.linalg.norm(image) for image in images]
 
 
-def as_stabilizer_code(group: AbelianErrorGroup, chi: Character) -> StabilizerCode:
+def as_stabilizer_code(chi: Character) -> StabilizerCode:
     """Export the subspace as a fully passive stabilizer code.
 
     Generators are chi(g)*g over a generating set; the range, of dimension
     2^k with k = n - (generator count), must hold at least one whole qubit.
     """
-    signed = _signed_generators(group, chi)
-    k = group.n - len(signed)
+    n = chi.group.n
+    signed = chi.signed_generators
+    k = n - len(signed)
     if k < 1:
         raise ValueError(
             f"character range has dimension {1 << k}; cannot host whole qubits"
         )
-    logical_x, logical_z = _complete_logicals(group.n, signed)
+    logical_x, logical_z = _complete_logicals(n, signed)
     return StabilizerCode(
-        name=f"dfs-{group.n}" if signed else f"trivial-{group.n}",
-        n=group.n,
+        name=f"dfs-{n}" if signed else f"trivial-{n}",
+        n=n,
         k=k,
         generators=signed,
         logical_x=tuple(logical_x),
@@ -188,7 +205,7 @@ def _complete_logicals(
         return (((a >> n) & b) ^ (a & (b >> n))).bit_count() & 1
 
     rows = [1 << (n + q) for q in range(n)] + [1 << q for q in range(n)]
-    for g in map(_row, generators):
+    for g in map(row, generators):
         partner = next(r for r in rows if anticommute(g, r))
         rows.remove(partner)
         rows = [r ^ partner if anticommute(g, r) else r for r in rows]

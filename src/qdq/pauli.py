@@ -59,14 +59,14 @@ def identity(n: int) -> PauliString:
     return PauliString(n, 0, 0, 0)
 
 
-def single(n: int, q: int, letter: str, phase: int = 0) -> PauliString:
+def single(n: int, q: int, letter: str) -> PauliString:
     """Weight-1 operator with ``letter`` on qubit q and identity elsewhere."""
     if letter not in _LETTER_BITS:
         raise ValueError(f"unknown Pauli letter {letter!r}")
     if not 0 <= q < n:
         raise ValueError(f"qubit index {q} out of range for n={n}")
     xb, zb = _LETTER_BITS[letter]
-    return PauliString(n, xb << q, zb << q, phase)
+    return PauliString(n, xb << q, zb << q)
 
 
 def parse(text: str) -> PauliString:
@@ -125,11 +125,6 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     """True iff the symplectic inner product a.x*b.z + a.z*b.x vanishes mod 2."""
     _check_lengths(a, b)
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
-def weight(a: PauliString) -> int:
-    """Number of qubits acted on non-trivially."""
-    return (a.x | a.z).bit_count()
 
 
 def tensor(a: PauliString, b: PauliString) -> PauliString:

@@ -63,7 +63,7 @@ class StabilizerCode:
 
     @functools.cached_property
     def row_space(self) -> RowSpace:
-        return RowSpace(_row(g) for g in self.generators)
+        return RowSpace(row(g) for g in self.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,8 @@ class StabilizerCode:
 # ---------------------------------------------------------------------------
 
 
-def _row(p: PauliString) -> int:
+def row(p: PauliString) -> int:
+    """Packed symplectic row: the x bits above the z bits."""
     return (p.x << p.n) | p.z
 
 
@@ -118,7 +119,7 @@ def _decompose(code: StabilizerCode, error: PauliString) -> Optional[int]:
     """Generator bit mask whose product has the error's bits, or None."""
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return code.row_space.decompose(_row(error))
+    return code.row_space.decompose(row(error))
 
 
 def in_stabilizer_group(code: StabilizerCode, error: PauliString) -> bool:
@@ -231,7 +232,7 @@ def validate(code: StabilizerCode) -> ValidationReport:
             for j, g in enumerate(gens):
                 if not pauli.commutes(op, g):
                     failures.append(f"{label}[{i}] anticommutes with generator {j}")
-            if space.decompose(_row(op)) is not None:
+            if space.decompose(row(op)) is not None:
                 failures.append(f"{label}[{i}] lies in the stabilizer group")
 
     for i, lx in enumerate(code.logical_x):

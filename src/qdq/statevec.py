@@ -5,21 +5,18 @@ Basis convention: qubit 0 is the most significant index bit, so the ket
 builds the codewords of every code and the bases of :func:`qdq.dfs.df_basis`;
 hand-entered expansions in :mod:`qdq._tables` are the codewords' reference.
 The checks compare at fixed tolerances: 1e-9 for the Knill-Laflamme matrix
-elements, 1e-10 for equality up to phase and for DFS invariance.
+elements, 1e-10 for equality up to phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .pauli import PauliString
-
-if TYPE_CHECKING:  # only for annotations; avoids an import cycle with dfs
-    from .dfs import AbelianErrorGroup, Character
-    from .stabilizer import StabilizerCode
+from .stabilizer import StabilizerCode
 
 MAX_QUBITS = 12
 
@@ -48,7 +45,7 @@ def _check_size(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _index_masks(p: PauliString) -> tuple[int, int]:
+def index_masks(p: PauliString) -> tuple[int, int]:
     """Bit-reverse the qubit-indexed masks into amplitude-index masks."""
     xm = zm = 0
     for q in range(p.n):
@@ -65,7 +62,7 @@ def apply_pauli(p: PauliString, state: np.ndarray) -> np.ndarray:
     """
     if state.shape[:1] != (1 << p.n,):
         raise ValueError(f"state dimension {state.shape} does not match n={p.n}")
-    xm, zm = _index_masks(p)
+    xm, zm = index_masks(p)
     src = np.arange(1 << p.n) ^ xm  # row j of the result comes from row j ^ xm
     scale = 1j ** ((p.phase + (p.x & p.z).bit_count()) % 4)
     signs = 1.0 - 2.0 * (np.bitwise_count(src & zm) & 1).astype(np.float64)
@@ -90,7 +87,7 @@ def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Correctability and invariance checks
+# Correctability checks
 # ---------------------------------------------------------------------------
 
 
@@ -132,16 +129,6 @@ def kl_check(codewords: Sequence[np.ndarray], errors: Sequence[PauliString]) -> 
     return KLResult(True)
 
 
-def dfs_invariance(state: np.ndarray, group: "AbelianErrorGroup", chi: "Character") -> bool:
-    """True iff g|state> = chi(g)|state>, to 1e-10 per amplitude, for every
-    group element."""
-    for g in group.elements:
-        image = apply_pauli(g, state)
-        if np.max(np.abs(image - chi.value(g) * state)) > 1e-10:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Projections and codewords
 # ---------------------------------------------------------------------------
@@ -154,7 +141,7 @@ def project(state: np.ndarray, generators: Iterable[PauliString]) -> np.ndarray:
     return state
 
 
-def codewords(code: "StabilizerCode") -> tuple[np.ndarray, np.ndarray]:
+def codewords(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     """Logical |0>, |1> statevectors of a one-logical-qubit stabilizer code.
 
     |0...0> is projected onto the +1 eigenspace of every generator and of

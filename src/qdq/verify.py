@@ -107,7 +107,7 @@ def suite_stabilizer() -> list[Check]:
 def suite_dfs() -> list[Check]:
     group = dfs.AbelianErrorGroup.from_strings(["II", "XX"])
     characters = dfs.characters(group)  # plus, then minus
-    projectors = [dfs.projector(group, chi) for chi in characters]
+    projectors = [dfs.projector(chi) for chi in characters]
     checks = [
         _check(
             "dfs.projector-idempotent",
@@ -121,7 +121,7 @@ def suite_dfs() -> list[Check]:
     for label, chi, terms in zip(
         ("plus", "minus"), characters, (_tables.DFS2_TERMS, _tables.DFS2_MINUS_TERMS)
     ):
-        basis = dfs.df_basis(group, chi)
+        basis = dfs.df_basis(chi)
         span_ok = len(basis) == len(terms) and all(
             statevec.states_equal_up_to_phase(got, statevec.state_from_terms(2, want))
             for got, want in zip(basis, terms)
@@ -132,10 +132,10 @@ def suite_dfs() -> list[Check]:
     checks.append(
         _check(
             "dfs.cross-irrep-not-invariant",
-            not any(statevec.dfs_invariance(cross, group, chi) for chi in characters),
+            not any(dfs.invariant(cross, chi) for chi in characters),
         )
     )
-    code = dfs.as_stabilizer_code(group, characters[0])
+    code = dfs.as_stabilizer_code(characters[0])
     same = (
         code.generators == stabilizer.builtin("dfs-2").generators
         and code.passive_mask == (True,)

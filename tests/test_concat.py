@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qdq import _tables, concat, pauli, stabilizer, statevec
+from qdq import _tables, concat, dfs, pauli, stabilizer, statevec
 from qdq.concat import Order
 
 
@@ -303,6 +303,12 @@ def test_build_rejects_k2_inner():
     )
     with pytest.raises(ValueError, match="k=1"):
         concat.make_spec(outer, inner, Order.QD)
+    # A k=3 outer code would give n=8, k=3 with one logical pair.
+    flip = dfs.AbelianErrorGroup.from_strings(["IIII", "XXXX"])
+    outer = dfs.as_stabilizer_code(dfs.characters(flip)[0])
+    assert outer.k == 3
+    with pytest.raises(ValueError, match="k=1"):
+        concat.make_spec(outer, stabilizer.builtin("dfs-2"), Order.QD)
 
 
 def test_registry_rejects_unknown_ids():

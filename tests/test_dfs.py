@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 import time
@@ -8,6 +11,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qdq import cli, dfs, pauli, stabilizer, statevec
+
+# sha256 of `qdq dfs build --elements ELEMENTS [--character INDEX]` stdout.
+BUILD_PINS = {
+    ("II,XX", None): "c761c7a217ef4ed0019cb5e015bdf8d98158f6bf9aa16c9b4395b3e6b5ce38a3",
+    ("II,YY", None): "ee889b7381aebcec046bd6c7354d4ffd9f8ab04546178e17627d228e3d8ff3ae",
+    ("IIII,XXXX,ZZZZ,YYYY", None):
+        "114eba605758bd6fca4867df340bba7282714fd6dd9bfee8d9803978ed65326f",
+    ("IIII,XXXX,ZZZZ,YYYY", 3):
+        "18cfac16d4c45a5dde3d9498ee21915f1ce9416f7e527c12eadfd25f80c58323",
+    ("IIIIII,XXXXXX,ZZZZII,YYYYXX", 2):
+        "25da2faa3eab29f741982c01245e0393328d80d392e0718ae87a17e11790903e",
+    ("III,ZZI,IZZ,ZIZ", None): "1d44b410255fa3cdb18324463f95218cd87fe8cfda12f972aef21b843c6d2ef1",
+}
 
 
 @pytest.fixture(scope="module")
@@ -20,18 +36,18 @@ def flip_chars(flip_group):
     return dfs.characters(flip_group)
 
 
-def test_characters_of_collective_flip_group(flip_group, flip_chars):
+def test_characters_of_collective_flip_group(flip_chars):
     assert len(flip_chars) == 2
     plus, minus = flip_chars
-    assert plus.signs(flip_group) == (1, 1)
-    assert minus.signs(flip_group) == (1, -1)
+    assert plus.signs() == (1, 1)
+    assert minus.signs() == (1, -1)
 
 
 def test_characters_trivial_group():
     group = dfs.AbelianErrorGroup.from_strings(["III"])
     chars = dfs.characters(group)
     assert len(chars) == 1
-    assert chars[0].signs(group) == (1,)
+    assert chars[0].signs() == (1,)
 
 
 @st.composite
@@ -86,8 +102,8 @@ def test_characters_klein_four_group_match_brute_force(group, pairs):
     chars = dfs.characters(group)
     elems = group.elements
     assert len(chars) == len(elems) <= 8
-    assert {c.signs(group) for c in chars} == _brute_force_characters(group)
-    assert chars[0].signs(group) == (1,) * len(elems)
+    assert {c.signs() for c in chars} == _brute_force_characters(group)
+    assert chars[0].signs() == (1,) * len(elems)
     for chi in chars:
         for i, j in pairs:
             a, b = elems[i % len(elems)], elems[j % len(elems)]
@@ -148,8 +164,8 @@ def test_group_is_checked_from_generators_only(monkeypatch):
     klein = dfs.AbelianErrorGroup.from_strings(["IIII", "XXII", "IIXX", "XXXX"])
     monkeypatch.setattr(dfs, "validate_group", refuse)
     for chi in dfs.characters(klein):
-        assert len(dfs.df_basis(klein, chi)) == 4
-        assert dfs.as_stabilizer_code(klein, chi).k == 2
+        assert len(dfs.df_basis(chi)) == 4
+        assert dfs.as_stabilizer_code(chi).k == 2
 
 
 def _pairwise_closure_accepts(n, elements):
@@ -209,18 +225,18 @@ def test_validation_agrees_with_pairwise_closure(case):
     assert accepted == _pairwise_closure_accepts(n, elements)
 
 
-def test_projector_matches_half_sum(flip_group, flip_chars):
+def test_projector_matches_half_sum(flip_chars):
     plus, minus = flip_chars
     eye = np.eye(4)
     xx = statevec.pauli_matrix(pauli.parse("XX"))
-    assert np.allclose(dfs.projector(flip_group, plus), (eye + xx) / 2)
-    assert np.allclose(dfs.projector(flip_group, minus), (eye - xx) / 2)
+    assert np.allclose(dfs.projector(plus), (eye + xx) / 2)
+    assert np.allclose(dfs.projector(minus), (eye - xx) / 2)
 
 
-def test_projector_idempotent_hermitian_resolution(flip_group, flip_chars):
+def test_projector_idempotent_hermitian_resolution(flip_chars):
     total = np.zeros((4, 4), dtype=complex)
     for chi in flip_chars:
-        proj = dfs.projector(flip_group, chi)
+        proj = dfs.projector(chi)
         assert np.allclose(proj @ proj, proj, atol=1e-12)
         assert np.allclose(proj, proj.conj().T, atol=1e-12)
         total += proj
@@ -230,19 +246,19 @@ def test_projector_idempotent_hermitian_resolution(flip_group, flip_chars):
 def test_projector_trivial_group_is_identity():
     group = dfs.AbelianErrorGroup.from_strings(["II"])
     chi = dfs.characters(group)[0]
-    assert np.allclose(dfs.projector(group, chi), np.eye(4))
+    assert np.allclose(dfs.projector(chi), np.eye(4))
 
 
-def test_minus_projector_annihilates_plus_state(flip_group, flip_chars):
+def test_minus_projector_annihilates_plus_state(flip_chars):
     state = statevec.state_from_terms(2, [("00", 1), ("11", 1)])
-    minus = dfs.projector(flip_group, flip_chars[1])
+    minus = dfs.projector(flip_chars[1])
     assert np.allclose(minus @ state, 0.0, atol=1e-12)
 
 
-def test_df_basis_spans(flip_group, flip_chars):
+def test_df_basis_spans(flip_chars):
     plus, minus = flip_chars
-    b_plus = dfs.df_basis(flip_group, plus)
-    b_minus = dfs.df_basis(flip_group, minus)
+    b_plus = dfs.df_basis(plus)
+    b_minus = dfs.df_basis(minus)
     want_plus = [
         statevec.state_from_terms(2, [("00", 1), ("11", 1)]),
         statevec.state_from_terms(2, [("01", 1), ("10", 1)]),
@@ -260,36 +276,48 @@ def test_df_basis_spans(flip_group, flip_chars):
 def test_df_basis_trivial_group_gives_computational_basis():
     group = dfs.AbelianErrorGroup.from_strings(["II"])
     chi = dfs.characters(group)[0]
-    basis = dfs.df_basis(group, chi)
+    basis = dfs.df_basis(chi)
     assert len(basis) == 4
     for i, vec in enumerate(basis):
         assert np.allclose(vec, statevec.basis_state(2, i))
+        assert dfs.invariant(vec, chi)
 
 
 def test_basis_states_are_character_eigenvectors(flip_group, flip_chars):
     for chi in flip_chars:
-        for vec in dfs.df_basis(flip_group, chi):
+        for vec in dfs.df_basis(chi):
             for g in flip_group.elements:
                 assert np.allclose(
                     statevec.apply_pauli(g, vec), chi.value(g) * vec, atol=1e-10
                 )
 
 
-def test_superposition_closure_and_cross_irrep_failure(flip_group, flip_chars):
+def test_superposition_closure_and_cross_irrep_failure(flip_chars):
     plus = flip_chars[0]
-    b0, b1 = dfs.df_basis(flip_group, plus)
+    b0, b1 = dfs.df_basis(plus)
     rng = np.random.default_rng(5)
     for _ in range(10):
         alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
         combo = alpha * b0 + beta * b1
         combo /= np.linalg.norm(combo)
-        assert statevec.dfs_invariance(combo, flip_group, plus)
+        assert dfs.invariant(combo, plus)
     cross = statevec.state_from_terms(2, [("00", 1)])  # (|00>+|11>) + (|00>-|11>)
-    assert not statevec.dfs_invariance(cross, flip_group, plus)
+    assert not dfs.invariant(cross, plus)
 
 
-def test_as_stabilizer_code_plus_matches_builtin(flip_group, flip_chars):
-    code = dfs.as_stabilizer_code(flip_group, flip_chars[0])
+def test_value_rejects_an_element_outside_the_group(flip_chars):
+    for text in ("ZZ", "XI", "XXI", "-XX"):
+        with pytest.raises(ValueError, match=f"{text} is not in the group"):
+            flip_chars[1].value(pauli.parse(text))
+    # IZ's packed row equals X's on one qubit; only the width tells them apart.
+    chi = dfs.characters(dfs.AbelianErrorGroup.from_strings(["I", "X"]))[1]
+    assert chi.value(pauli.parse("X")) == -1
+    with pytest.raises(ValueError, match="IZ is not in the group"):
+        chi.value(pauli.parse("IZ"))
+
+
+def test_as_stabilizer_code_plus_matches_builtin(flip_chars):
+    code = dfs.as_stabilizer_code(flip_chars[0])
     builtin = stabilizer.builtin("dfs-2")
     assert code.n == builtin.n and code.k == builtin.k
     assert code.generators == builtin.generators
@@ -299,13 +327,13 @@ def test_as_stabilizer_code_plus_matches_builtin(flip_group, flip_chars):
     assert stabilizer.validate(code).valid
 
 
-def test_as_stabilizer_code_minus_carries_sign(flip_group, flip_chars):
-    code = dfs.as_stabilizer_code(flip_group, flip_chars[1])
+def test_as_stabilizer_code_minus_carries_sign(flip_chars):
+    code = dfs.as_stabilizer_code(flip_chars[1])
     assert [str(g) for g in code.generators] == ["-XX"]
     assert code.passive_mask == (True,)
     assert code.k == 1
     # The minus-character basis states sit at +1 of the signed generator.
-    for vec in dfs.df_basis(flip_group, flip_chars[1]):
+    for vec in dfs.df_basis(flip_chars[1]):
         assert abs(statevec.expectation(vec, code.generators[0]) - 1.0) < 1e-10
     assert stabilizer.validate(code).valid
 
@@ -313,7 +341,7 @@ def test_as_stabilizer_code_minus_carries_sign(flip_group, flip_chars):
 def test_as_stabilizer_code_trivial_group():
     group = dfs.AbelianErrorGroup.from_strings(["II"])
     chi = dfs.characters(group)[0]
-    code = dfs.as_stabilizer_code(group, chi)
+    code = dfs.as_stabilizer_code(chi)
     assert code.n == 2 and code.k == 2
     assert code.generators == ()
     assert stabilizer.validate(code).valid
@@ -323,7 +351,7 @@ def test_as_stabilizer_code_rejects_rank_without_whole_qubit():
     group = dfs.AbelianErrorGroup.from_strings(["I", "Z"])
     chi = dfs.characters(group)[0]
     with pytest.raises(ValueError, match="whole qubits"):
-        dfs.as_stabilizer_code(group, chi)
+        dfs.as_stabilizer_code(chi)
 
 
 def test_projector_capacity_guard():
@@ -332,12 +360,12 @@ def test_projector_capacity_guard():
     )
     chi = dfs.characters(big)[0]
     with pytest.raises(ValueError, match="capped"):
-        dfs.projector(big, chi)
+        dfs.projector(chi)
 
 
-def _gram_schmidt_basis(group, chi, tol=1e-10):
+def _gram_schmidt_basis(chi, tol=1e-10):
     """Reference: orthonormalize the dense projector's columns in index order."""
-    proj = dfs.projector(group, chi)
+    proj = dfs.projector(chi)
     basis = []
     for index in range(proj.shape[0]):
         vec = proj[:, index].copy()
@@ -360,20 +388,20 @@ def test_df_basis_matches_gram_schmidt_reference(group):
     n = group.n
     r = len(group.elements).bit_length() - 1
     for chi in dfs.characters(group):
-        basis = dfs.df_basis(group, chi)
-        reference = _gram_schmidt_basis(group, chi)
+        basis = dfs.df_basis(chi)
+        reference = _gram_schmidt_basis(chi)
         assert len(basis) == len(reference)
         assert all(np.array_equal(a, b) for a, b in zip(basis, reference))
-        rank = round(np.trace(dfs.projector(group, chi)).real)
+        rank = round(np.trace(dfs.projector(chi)).real)
         assert len(basis) == 2 ** (n - r) == rank
-        assert all(statevec.dfs_invariance(vec, group, chi) for vec in basis)
+        assert all(dfs.invariant(vec, chi) for vec in basis)
         if n - r >= 1:
-            code = dfs.as_stabilizer_code(group, chi)
+            code = dfs.as_stabilizer_code(chi)
             assert code.k == n - r
             assert stabilizer.validate(code).valid
         else:
             with pytest.raises(ValueError, match="whole qubits"):
-                dfs.as_stabilizer_code(group, chi)
+                dfs.as_stabilizer_code(chi)
 
 
 def test_df_basis_projects_only_surviving_orbits(monkeypatch):
@@ -389,9 +417,20 @@ def test_df_basis_projects_only_surviving_orbits(monkeypatch):
     chars = dfs.characters(group)
     for index in (0, 777):
         calls.clear()
-        basis = dfs.df_basis(group, chars[index])
+        basis = dfs.df_basis(chars[index])
         assert len(basis) == len(calls) == 4
-        assert all(statevec.dfs_invariance(vec, group, chars[index]) for vec in basis)
+        assert all(dfs.invariant(vec, chars[index]) for vec in basis)
+
+
+@pytest.mark.parametrize("elements, character", list(BUILD_PINS))
+def test_build_bytes_are_pinned(elements, character):
+    argv = ["dfs", "build", "--elements", elements]
+    if character is not None:
+        argv += ["--character", str(character)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BUILD_PINS[elements, character]
 
 
 def test_full_build_over_pair_cap_exits_two_before_building(capsys):
@@ -414,12 +453,12 @@ def test_build_path_never_builds_a_dense_matrix(monkeypatch, capsys):
     group = dfs.AbelianErrorGroup.from_strings(["I" * n, "X" * n, "Y" * n, "Z" * n])
     chars = dfs.characters(group)
     for chi in (chars[0], chars[-1]):
-        basis = dfs.df_basis(group, chi)
+        basis = dfs.df_basis(chi)
         assert len(basis) == 1024
         for vec in (basis[0], basis[511], basis[-1]):
-            assert statevec.dfs_invariance(vec, group, chi)
+            assert dfs.invariant(vec, chi)
         del basis
-    code = dfs.as_stabilizer_code(group, chars[0])
+    code = dfs.as_stabilizer_code(chars[0])
     assert code.k == 10
     assert stabilizer.validate(code).valid
     assert cli.main(["dfs", "build", "--elements", "II,XX"]) == 0

@@ -129,12 +129,6 @@ def test_product_order_swaps_iff_commuting():
             assert (ab == ba) == pauli.commutes(pa, pb)
 
 
-def test_weight():
-    assert pauli.weight(pauli.parse("IIIIII")) == 0
-    assert pauli.weight(pauli.parse("XXXXXX")) == 6
-    assert pauli.weight(pauli.parse("-YY")) == 2
-
-
 def test_tensor():
     assert str(pauli.tensor(pauli.parse("XX"), pauli.parse("II"))) == "XXII"
     assert str(pauli.tensor(pauli.parse("I"), pauli.parse("X"))) == "IX"

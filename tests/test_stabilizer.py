@@ -238,8 +238,7 @@ def test_structure_comes_without_group_walk_or_candidate_search(monkeypatch):
     flip = dfs.AbelianErrorGroup.from_strings(["II", "XX"])
     n = 12
     collective = dfs.AbelianErrorGroup.from_strings(["I" * n, "X" * n, "Y" * n, "Z" * n])
-    exports = [(flip, chi) for chi in dfs.characters(flip)]
-    exports.append((collective, dfs.characters(collective)[0]))
+    exports = [*dfs.characters(flip), dfs.characters(collective)[0]]
 
     def refuse(*args, **kwargs):
         raise AssertionError("group walk or candidate search")
@@ -249,6 +248,6 @@ def test_structure_comes_without_group_walk_or_candidate_search(monkeypatch):
         assert stabilizer.validate(code).valid, code.name
     # Single-qubit candidate products were the old logical search.
     monkeypatch.setattr(pauli, "single", refuse)
-    for group, chi in exports:
-        code = dfs.as_stabilizer_code(group, chi)
+    for chi in exports:
+        code = dfs.as_stabilizer_code(chi)
         assert stabilizer.validate(code).valid

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qdq import _tables, concat, dfs, pauli, stabilizer, statevec
+from qdq import _tables, concat, pauli, stabilizer, statevec
 
 
 def kron(*states):
@@ -247,18 +247,3 @@ def test_kl_check_rejects_non_orthonormal():
     with pytest.raises(ValueError, match="orthogonal"):
         statevec.kl_check((w0, w0), [pauli.identity(3)])
 
-
-def test_dfs_invariance_examples():
-    group = dfs.AbelianErrorGroup.from_strings(["II", "XX"])
-    plus = dfs.characters(group)[0]
-    rng = np.random.default_rng(9)
-    alpha, beta = rng.normal(size=2)
-    state = alpha * PAIR0 + beta * PAIR1
-    state /= np.linalg.norm(state)
-    assert statevec.dfs_invariance(state, group, plus)
-    assert not statevec.dfs_invariance(
-        statevec.basis_state(2, 0b00), group, plus
-    )
-    trivial = dfs.AbelianErrorGroup.from_strings(["II"])
-    chi = dfs.characters(trivial)[0]
-    assert statevec.dfs_invariance(statevec.basis_state(2, 2), trivial, chi)
