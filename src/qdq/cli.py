@@ -359,6 +359,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _out_path(text: str) -> str:
     """A file path whose directory exists, checked before any work runs."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text} is a directory")
     parent = os.path.dirname(text) or "."

@@ -10,10 +10,12 @@ inside; DQ is the reverse.  The construction yields, per trait:
   errors into mutually degenerate sets,
 * a syndrome-keyed decoder table with one entry per set.
 
-Structural assembly supports inner codes with k = 1; size arithmetic is
-general.  :func:`correctable_count` gives the equivalence class's size
-before any product is formed; the CLI refuses a build above
-:data:`MAX_CORRECTABLE`.
+Every lifted operator is an image under :func:`lift`, which carries the
+outer operator's sign, so any k = 1 code can be the outer code, a signed
+character's ``dfs.as_stabilizer_code(chi)`` included.  Structural assembly
+supports outer and inner codes with k = 1; size arithmetic is general.
+:func:`correctable_count` gives the equivalence class's size before any
+product is formed; the CLI refuses a build above :data:`MAX_CORRECTABLE`.
 """
 
 from __future__ import annotations
@@ -129,20 +131,23 @@ def lift_logical(inner: StabilizerCode, label: str) -> tuple[PauliString, ...]:
     return (canonical, *rest)
 
 
-def _blockwise_products(per_block) -> tuple[PauliString, ...]:
-    """Tensor product of every combination of one factor per block."""
+def lift(
+    inner: StabilizerCode, outer_op: PauliString, expand: str = ""
+) -> tuple[PauliString, ...]:
+    """Blockwise images of an outer operator through the inner logicals,
+    each carrying ``outer_op``'s phase and the canonical image first.
+
+    A block whose letter is in ``expand`` takes every realization of that
+    letter (:func:`lift_logical`); any other block takes the canonical one.
+    """
+    per_block = [
+        lift_logical(inner, letter) if letter in expand else (_canonical_letter_op(inner, letter),)
+        for letter in outer_op.letters
+    ]
+    sign = PauliString(0, 0, 0, outer_op.phase)
     return tuple(
-        functools.reduce(pauli.tensor, combo, pauli.identity(0))
-        for combo in itertools.product(*per_block)
+        functools.reduce(pauli.tensor, combo, sign) for combo in itertools.product(*per_block)
     )
-
-
-def canonical_lift(inner: StabilizerCode, outer_op: PauliString) -> PauliString:
-    """Encode an outer-code operator blockwise via canonical inner logicals."""
-    lifted = pauli.identity(0)
-    for q in range(outer_op.n):
-        lifted = pauli.tensor(lifted, _canonical_letter_op(inner, outer_op.letter(q)))
-    return PauliString(lifted.n, lifted.x, lifted.z, (lifted.phase + outer_op.phase) % 4)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +170,9 @@ def build_generators(spec: ConcatSpec) -> tuple[GeneratorClass, ...]:
             rep = pauli.embed(g, block[0], spec.n_cc)
             classes.append(GeneratorClass((rep,), passive=inner.passive_mask[gi]))
 
-    expand = bool(inner.generators) and all(inner.passive_mask)
+    expand = "XYZ" if inner.generators and all(inner.passive_mask) else ""
     for gi, g in enumerate(outer.generators):
-        per_block = []
-        for q in range(outer.n):
-            label = g.letter(q)
-            if label == "I" or not expand:
-                per_block.append((_canonical_letter_op(inner, label),))
-            else:
-                per_block.append(lift_logical(inner, label))
-        reps = _blockwise_products(per_block)
-        classes.append(GeneratorClass(reps, passive=outer.passive_mask[gi]))
+        classes.append(GeneratorClass(lift(inner, g, expand), passive=outer.passive_mask[gi]))
     return tuple(classes)
 
 
@@ -187,8 +184,8 @@ def concatenated_code(spec: ConcatSpec, classes: tuple[GeneratorClass, ...]) -> 
         n=spec.n_cc,
         k=spec.k_cc,
         generators=tuple(c.representative for c in classes),
-        logical_x=(canonical_lift(spec.inner, spec.outer.logical_x[0]),),
-        logical_z=(canonical_lift(spec.inner, spec.outer.logical_z[0]),),
+        logical_x=lift(spec.inner, spec.outer.logical_x[0]),
+        logical_z=lift(spec.inner, spec.outer.logical_z[0]),
         passive_mask=tuple(c.passive for c in classes),
     )
 
@@ -225,19 +222,14 @@ def equivalence_classes(spec: ConcatSpec) -> EquivalenceClass:
     image under each nontrivial passively corrected outer operation.
     """
     inner, outer = spec.inner, spec.outer
-    sets: list[tuple[PauliString, ...]] = []
     if spec.order is Order.QD:
-        for outer_err in correctable_errors(outer):
-            per_block = [lift_logical(inner, outer_err.letter(q)) for q in range(outer.n)]
-            sets.append(_blockwise_products(per_block))
-    else:
-        partners = [
-            canonical_lift(inner, s)
-            for s in stabilizer.stabilizer_group(outer)
-            if (s.x, s.z) != (0, 0)
-        ]
-        for op in _blockwise_products([correctable_errors(inner)] * outer.n):
-            sets.append((op, *(pauli.multiply(p, op) for p in partners)))
+        return EquivalenceClass(tuple(lift(inner, e, "IXYZ") for e in correctable_errors(outer)))
+    # stabilizer_group lists the identity first.
+    partners = [lift(inner, s)[0] for s in stabilizer.stabilizer_group(outer)[1:]]
+    sets = []
+    for combo in itertools.product(correctable_errors(inner), repeat=outer.n):
+        op = functools.reduce(pauli.tensor, combo, pauli.identity(0))
+        sets.append((op, *(pauli.multiply(p, op) for p in partners)))
     return EquivalenceClass(tuple(sets))
 
 
@@ -323,7 +315,6 @@ def passive_set(
 class ConcatCode:
     """Spec plus every derived structure, built once per code id."""
 
-    code_id: str
     spec: ConcatSpec
     classes: tuple[GeneratorClass, ...]
     code: StabilizerCode
@@ -384,7 +375,6 @@ def build(outer: StabilizerCode, inner: StabilizerCode, order: Order) -> ConcatC
     eq_class = equivalence_classes(spec)
     table = decoder_table(code, eq_class)
     return ConcatCode(
-        code_id=code.name,
         spec=spec,
         classes=classes,
         code=code,

@@ -360,10 +360,11 @@ OUT_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
-    target = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+    target = {"missing-directory": tmp_path / "absent" / "x.json", "directory": tmp_path,
+              "empty": ""}[where]
     with pytest.raises(SystemExit) as err:
         cli.main(list(argv) + ["--out", str(target)])
     captured = capsys.readouterr()

@@ -4,9 +4,9 @@ Each example is one in-process ``cli.main`` call on a drawn argv: a known or
 unknown command, each flag absent, given a valid value or given an odd one
 (0, 1, nan, inf, -0, 1e308, huge integers, empty strings, unknown names),
 in any order, with an ``--out`` that is absent, a file under ``tmp_path``, a
-directory or a path in a missing directory.  Flags that size the work stay
-small, apart from the over-cap ``--depth 101`` and ``--shots 1000000001``,
-which must exit before any work.
+directory, a path in a missing directory or the empty string.  Flags that
+size the work stay small, apart from the over-cap ``--depth 101`` and
+``--shots 1000000001``, which must exit before any work.
 """
 
 import contextlib

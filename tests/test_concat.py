@@ -1,11 +1,50 @@
+import contextlib
+import functools
+import hashlib
+import io
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qdq import _tables, concat, dfs, pauli, stabilizer, statevec
+from qdq import _tables, cli, concat, dfs, pauli, stabilizer, statevec
 from qdq.concat import Order
+
+# sha256 of `qdq concat build --outer OUTER --inner INNER --order ORDER` stdout,
+# for every built-in triple under the correctable-error cap.
+CONCAT_PINS = {
+    ("dfs-2", "dfs-2", "qd"): "cb94dc49c2029bd743bacf5010f277263e293a060def9af986e547bc3f126923",
+    ("dfs-2", "dfs-2", "dq"): "76052f8e7e40cfd09d56c2371d84803f4e7f5ba3d91d8f27abd1c434d7e1d018",
+    ("dfs-2", "knill-laflamme-5", "qd"): "0c4bbd189b6fe9710a16b7d25242f1eeaf64690bff295503d3d6df451b339752",
+    ("dfs-2", "knill-laflamme-5", "dq"): "0abd29a1e0378024dd6df1de59dfed264aab5618ae72428e9ef20522ca47c807",
+    ("dfs-2", "repetition-3", "qd"): "8a8c6e55afa81f3cbb2be049de06297bbf66233e6e3905f8cfff6e8e5af9148b",
+    ("dfs-2", "repetition-3", "dq"): "03cd2207ab1a3841ea8f6083e8bf991c3c0fab246df056cf64387100869af7aa",
+    ("knill-laflamme-5", "dfs-2", "qd"): "552ca782c5896b34ad1a2030ed9f67fe78f8b319ec2560c414ee2bf43724b7fd",
+    ("knill-laflamme-5", "dfs-2", "dq"): "5e09bc0cb27c4c16a9c24061832d4bcc54c66bd60e245562fc76886da66d2caf",
+    ("knill-laflamme-5", "repetition-3", "qd"): "a627f9a0a4c3f77db3e63f71390c6791a020993a5974b1a379951c93b5b681f0",
+    ("knill-laflamme-5", "repetition-3", "dq"): "8b057f2fd43a82733ab17a8d55b0488aca9834260ac657d55435b8528a824b37",
+    ("repetition-3", "dfs-2", "qd"): "59487043e89af12359182ea6672250e18cdb5bca96d3b3fa8137b24b0eed9d07",
+    ("repetition-3", "dfs-2", "dq"): "475c11ebf4881a6279c3d8d41794ab5dae095bb7eec741e2e0b9bf83979b8b7f",
+    ("repetition-3", "knill-laflamme-5", "qd"): "7ed2d1bc6dacf0c6cf548dbaae11d25c6ff4d69dac7b030db0ce367dfcba2ae8",
+    ("repetition-3", "knill-laflamme-5", "dq"): "d96caf8db82e5796ffa5e84032484e63a9eb56f9b742d52e0b097089be6d3c00",
+    ("repetition-3", "repetition-3", "qd"): "75b3852a23cfaae367e91987fc95d238a506491ea229aef75176ba0370f10206",
+    ("repetition-3", "repetition-3", "dq"): "9206af3932d7d0e41652294483fdfd2869e6fe163a1a4fb17e55a7594e9fcbbf",
+}
+
+# Every character of four collective groups, exported as an outer code.
+SIGNED_OUTER = [
+    dfs.as_stabilizer_code(chi)
+    for elements in (["II", "XX"], ["II", "YY"], ["II", "ZZ"], ["III", "ZZI", "IZZ", "ZIZ"])
+    for chi in dfs.characters(dfs.AbelianErrorGroup.from_strings(elements))
+]
+SIGNED_BUILDS = [
+    (outer, inner, order)
+    for outer in SIGNED_OUTER
+    for inner in stabilizer.builtin_names()
+    for order in Order
+    if concat.correctable_count(concat.make_spec(outer, stabilizer.builtin(inner), order)) <= 4096
+]
 
 
 @pytest.mark.parametrize(
@@ -61,6 +100,15 @@ def test_lift_logical_realizations_act_identically_dfs2():
             images = [statevec.apply_pauli(op, w) for op in ops]
             for img in images[1:]:
                 assert np.allclose(img, images[0], atol=1e-12)
+
+
+def test_lift_expands_only_the_named_letters_and_keeps_the_sign():
+    dfs2 = stabilizer.builtin("dfs-2")
+    assert [str(p) for p in concat.lift(dfs2, pauli.parse("-XI"))] == ["-XIII"]
+    assert [str(p) for p in concat.lift(dfs2, pauli.parse("-XI"), "X")] == ["-XIII", "-IXII"]
+    assert [str(p) for p in concat.lift(dfs2, pauli.parse("XI"), "IX")] == [
+        "XIII", "XIXX", "IXII", "IXXX"
+    ]
 
 
 def test_lift_logical_requires_k1():
@@ -309,6 +357,43 @@ def test_build_rejects_k2_inner():
     assert outer.k == 3
     with pytest.raises(ValueError, match="k=1"):
         concat.make_spec(outer, stabilizer.builtin("dfs-2"), Order.QD)
+
+
+@pytest.mark.parametrize("outer, inner, order", sorted(CONCAT_PINS))
+def test_build_bytes_are_pinned(outer, inner, order):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["concat", "build", "--outer", outer, "--inner", inner,
+                         "--order", order]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CONCAT_PINS[outer, inner, order]
+
+
+def test_every_buildable_builtin_triple_is_pinned():
+    names = stabilizer.builtin_names()
+    buildable = {
+        (outer, inner, order.value)
+        for outer, inner, order in itertools.product(names, names, Order)
+        if concat.correctable_count(concat.make_spec(
+            stabilizer.builtin(outer), stabilizer.builtin(inner), order)) <= concat.MAX_CORRECTABLE
+    }
+    assert buildable == set(CONCAT_PINS)
+
+
+@pytest.mark.parametrize(
+    "outer, inner, order", SIGNED_BUILDS,
+    ids=[f"{','.join(map(str, o.generators))}-{i}-{order.value}" for o, i, order in SIGNED_BUILDS],
+)
+def test_signed_outer_code_lifts_with_its_signs(outer, inner, order):
+    # A -XX outer generator must lift to the -1 eigenspace of the lifted XX,
+    # not the +1 character's code.
+    inner = stabilizer.builtin(inner)
+    cc = concat.build(outer, inner, order)
+    for g in outer.generators:
+        canonical = (concat.lift_logical(inner, letter)[0] for letter in g.letters)
+        signed = functools.reduce(pauli.tensor, canonical, pauli.PauliString(0, 0, 0, g.phase))
+        assert stabilizer.group_element_phase(cc.code, signed) == 0, str(signed)
+    for e in cc.passive:
+        assert stabilizer.group_element_phase(cc.code, e) == 0, str(e)
 
 
 def test_registry_rejects_unknown_ids():
