@@ -7,8 +7,8 @@ stderr.  All output is CSV or JSON on stdout (or --out); CSV bytes are
 deterministic for fixed flags.  JSON is strict: ``mc run`` reports an
 infinite z-score as null, and any other non-finite value is an exit-1
 error rather than an invalid document.  A ``fidelity sweep`` of more than
-``MAX_SWEEP_ROWS`` (1,000,000) rows, counted as (pmax - pmin) / step + 1,
-is a usage error, and so is a ``dfs build`` group on more than
+``MAX_SWEEP_ROWS`` (1,000,000) rows, one per grid point pmin + i * step up
+to pmax, is a usage error, and so is a ``dfs build`` group on more than
 ``statevec.MAX_QUBITS`` (12) qubits or printing more than ``MAX_DFS_PAIRS``
 (4^10) amplitude pairs, and a ``concat build`` listing more than
 ``concat.MAX_CORRECTABLE`` (65,536) correctable errors.  ``threshold
@@ -37,7 +37,7 @@ from . import analytic, concat, stabilizer
 from .analytic import Alphabet, NoiseModel
 
 
-# Most rows one ``fidelity sweep`` may emit: (pmax - pmin) / step + 1.
+# Most rows one ``fidelity sweep`` may emit, one per grid point <= pmax.
 MAX_SWEEP_ROWS = 1_000_000
 
 # Most [re, im] pairs one ``dfs build`` may print: 2^n per basis vector, 2^n
@@ -138,7 +138,7 @@ def _cmd_concat(args: argparse.Namespace) -> int:
                 }
                 for c in cc.classes
             ],
-            "equivalence_class": [[str(e) for e in s] for s in cc.equivalence.sets],
+            "equivalence_class": [[str(e) for e in s] for s in cc.equivalence.values()],
             "phi": _efficiency_json(phi),
             "phi_prime": _efficiency_json(phi_prime),
         }
@@ -189,15 +189,17 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     if args.pmin > args.pmax:
         raise _UsageError(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
-    span = (args.pmax - args.pmin) / args.step
-    if span + 1 > MAX_SWEEP_ROWS:
+    # One row per grid point <= pmax, up to float division: floor(span) + 1.
+    # The cap is checked first: a subnormal step makes the span infinite,
+    # which math.floor cannot take.
+    span = (args.pmax - args.pmin) / args.step + 1e-9
+    if span >= MAX_SWEEP_ROWS:
         raise _UsageError(
-            f"--step {args.step} asks for {span + 1:.0f} rows; the cap is {MAX_SWEEP_ROWS}"
+            f"--step {args.step} asks for more than the cap of {MAX_SWEEP_ROWS} rows"
         )
     curve = _curve(args.code, args.mu, args.variant)
-    # The last row is the last grid point <= pmax, up to float division.
     lines = ["p,mu,pf,fe"]
-    for i in range(math.floor(span + 1e-9) + 1):
+    for i in range(math.floor(span) + 1):
         p = min(args.pmin + i * args.step, args.pmax)
         value = curve(p)
         fe = analytic.entanglement_fidelity(value)

@@ -6,15 +6,16 @@ inside; DQ is the reverse.  The construction yields, per trait:
 * blockwise generator classes (one copy of each inner generator per block),
 * lifted generator classes (outer generators encoded through the inner
   code's logical operations, degenerate when the inner code is passive),
-* the error degeneracy equivalence class partitioning all correctable
-  errors into mutually degenerate sets,
-* a syndrome-keyed decoder table with one entry per set.
+* one partition of all correctable errors into mutually degenerate sets,
+  keyed by each set's common syndrome; the decoder table takes one
+  correction per key and the passive (measurement-free) set is the one
+  under the zero syndrome.
 
 Every lifted operator is an image under :func:`lift`, which carries the
 outer operator's sign, so any k = 1 code can be the outer code, a signed
 character's ``dfs.as_stabilizer_code(chi)`` included.  Structural assembly
 supports outer and inner codes with k = 1; size arithmetic is general.
-:func:`correctable_count` gives the equivalence class's size before any
+:func:`correctable_count` gives the partition's size before any
 product is formed; the CLI refuses a build above :data:`MAX_CORRECTABLE`.
 """
 
@@ -59,18 +60,6 @@ class GeneratorClass:
     @property
     def representative(self) -> PauliString:
         return self.representatives[0]
-
-
-@dataclass(frozen=True)
-class EquivalenceClass:
-    """Disjoint sets of correctable errors, mutually degenerate within
-    each set and non-degenerate across sets."""
-
-    sets: tuple[tuple[PauliString, ...], ...]
-
-    @property
-    def total_elements(self) -> int:
-        return sum(len(s) for s in self.sets)
 
 
 def concat_size(n_o: int, k_o: int, n_i: int, k_i: int) -> tuple[int, int]:
@@ -213,8 +202,8 @@ def correctable_errors(code: StabilizerCode) -> tuple[PauliString, ...]:
     return tuple(errors)
 
 
-def equivalence_classes(spec: ConcatSpec) -> EquivalenceClass:
-    """Partition of the concatenated code's correctable errors.
+def equivalence_classes(spec: ConcatSpec) -> tuple[tuple[PauliString, ...], ...]:
+    """The concatenated code's correctable errors in mutually degenerate sets.
 
     QD: one set per outer-correctable error, expanded through the full
     logical multiplicity of the inner code on every block.  DQ: one set per
@@ -223,14 +212,36 @@ def equivalence_classes(spec: ConcatSpec) -> EquivalenceClass:
     """
     inner, outer = spec.inner, spec.outer
     if spec.order is Order.QD:
-        return EquivalenceClass(tuple(lift(inner, e, "IXYZ") for e in correctable_errors(outer)))
+        return tuple(lift(inner, e, "IXYZ") for e in correctable_errors(outer))
     # stabilizer_group lists the identity first.
     partners = [lift(inner, s)[0] for s in stabilizer.stabilizer_group(outer)[1:]]
     sets = []
     for combo in itertools.product(correctable_errors(inner), repeat=outer.n):
         op = functools.reduce(pauli.tensor, combo, pauli.identity(0))
         sets.append((op, *(pauli.multiply(p, op) for p in partners)))
-    return EquivalenceClass(tuple(sets))
+    return tuple(sets)
+
+
+Partition = dict[tuple[int, ...], tuple[PauliString, ...]]
+
+
+def key_by_syndrome(
+    code: StabilizerCode, sets: tuple[tuple[PauliString, ...], ...]
+) -> Partition:
+    """Each set under the syndrome all its members share, in the given order;
+    a set spanning two syndromes, or two sets sharing one, is an error."""
+    partition: Partition = {}
+    for members in sets:
+        syndromes = {stabilizer.syndrome(code, m) for m in members}
+        if len(syndromes) != 1:
+            raise RuntimeError(
+                f"set {tuple(map(str, members))} spans syndromes {syndromes}"
+            )
+        (key,) = syndromes
+        if key in partition:
+            raise RuntimeError(f"syndrome collision across sets at {key}")
+        partition[key] = members
+    return partition
 
 
 # Most correctable errors ``concat build`` enumerates.  The other built-in
@@ -240,7 +251,7 @@ MAX_CORRECTABLE = 65_536
 
 
 def correctable_count(spec: ConcatSpec) -> int:
-    """``equivalence_classes(spec).total_elements``, without forming a product.
+    """``sum(map(len, equivalence_classes(spec)))``, without forming a product.
 
     QD: each outer-correctable error's set lifts every block through all
     2^r_inner realizations.  DQ: each tuple of inner-correctable errors is
@@ -255,12 +266,13 @@ Efficiency = Union[Fraction, float]
 
 
 def hamming_efficiency(
-    eq_class: EquivalenceClass, n: int, k: int
+    equivalence: Partition, n: int, k: int
 ) -> tuple[Efficiency, Efficiency]:
     """(phi, phi_prime): log2 of total correctable errors / of set count,
     each divided by n - k; exact rationals for power-of-two counts."""
-    if not eq_class.sets:
-        raise ValueError("equivalence class is empty")
+    sets = equivalence.values()
+    if not sets:
+        raise ValueError("equivalence partition is empty")
     if n <= k:
         raise ValueError(f"need n > k, got n={n}, k={k}")
 
@@ -269,41 +281,7 @@ def hamming_efficiency(
             return Fraction(count.bit_length() - 1, n - k)
         return math.log2(count) / (n - k)
 
-    return log_ratio(eq_class.total_elements), log_ratio(len(eq_class.sets))
-
-
-# ---------------------------------------------------------------------------
-# Decoding
-# ---------------------------------------------------------------------------
-
-
-def decoder_table(
-    code: StabilizerCode, eq_class: EquivalenceClass
-) -> dict[tuple[int, ...], PauliString]:
-    """One entry per equivalence set, keyed by the set's common syndrome and
-    valued by its lexicographically first element."""
-    table: dict[tuple[int, ...], PauliString] = {}
-    for members in eq_class.sets:
-        syndromes = {stabilizer.syndrome(code, m) for m in members}
-        if len(syndromes) != 1:
-            raise RuntimeError(
-                f"set {tuple(map(str, members))} spans syndromes {syndromes}"
-            )
-        key = next(iter(syndromes))
-        if key in table:
-            raise RuntimeError(f"syndrome collision across sets at {key}")
-        table[key] = min(members, key=str)
-    return table
-
-
-def passive_set(
-    eq_class: EquivalenceClass, code: StabilizerCode
-) -> tuple[PauliString, ...]:
-    """The unique all-zero-syndrome set; every element is a stabilizer error."""
-    for members in eq_class.sets:
-        if not any(stabilizer.syndrome(code, members[0])):
-            return members
-    raise RuntimeError("no zero-syndrome set found")
+    return log_ratio(sum(map(len, sets))), log_ratio(len(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +291,16 @@ def passive_set(
 
 @dataclass(frozen=True)
 class ConcatCode:
-    """Spec plus every derived structure, built once per code id."""
+    """Spec plus every derived structure, built once per code id.
+
+    ``equivalence`` maps each syndrome to its set of degenerate correctable
+    errors; ``table`` holds each set's first element by ``str`` and
+    ``passive`` is the set under the zero syndrome."""
 
     spec: ConcatSpec
     classes: tuple[GeneratorClass, ...]
     code: StabilizerCode
-    equivalence: EquivalenceClass
+    equivalence: Partition
     table: dict[tuple[int, ...], PauliString]
     passive: tuple[PauliString, ...]
 
@@ -372,15 +354,14 @@ def build(outer: StabilizerCode, inner: StabilizerCode, order: Order) -> ConcatC
     spec = make_spec(outer, inner, order)
     classes = build_generators(spec)
     code = concatenated_code(spec, classes)
-    eq_class = equivalence_classes(spec)
-    table = decoder_table(code, eq_class)
+    equivalence = key_by_syndrome(code, equivalence_classes(spec))
     return ConcatCode(
         spec=spec,
         classes=classes,
         code=code,
-        equivalence=eq_class,
-        table=table,
-        passive=passive_set(eq_class, code),
+        equivalence=equivalence,
+        table={s: min(members, key=str) for s, members in equivalence.items()},
+        passive=equivalence[(0,) * len(code.generators)],
     )
 
 

@@ -41,6 +41,8 @@ class AbelianErrorGroup:
     @staticmethod
     def from_strings(texts: Sequence[str]) -> "AbelianErrorGroup":
         elements = tuple(pauli.parse(t) for t in texts)
+        if not elements:
+            raise ValueError("group must contain the identity; got no elements")
         return AbelianErrorGroup(elements[0].n, elements)
 
     @functools.cached_property

@@ -161,14 +161,15 @@ def suite_concat() -> list[Check]:
         cc = concat.concatenated(cid)
         summary = _tables.SUMMARY[cid]
         n_sets, per_set = summary["sets"]
-        sizes = {len(s) for s in cc.equivalence.sets}
+        sets = cc.equivalence.values()
+        sizes = {len(s) for s in sets}
         counts.append(
             _check(
                 f"concat.counts-{cid}",
-                len(cc.equivalence.sets) == n_sets
+                len(sets) == n_sets
                 and sizes == {per_set}
-                and cc.equivalence.total_elements == n_sets * per_set,
-                f"got {len(cc.equivalence.sets)} sets, sizes {sizes}",
+                and sum(map(len, sets)) == n_sets * per_set,
+                f"got {len(sets)} sets, sizes {sizes}",
             )
         )
         report = stabilizer.validate(cc.code)
@@ -193,12 +194,12 @@ def suite_concat() -> list[Check]:
         generators.append(_check(f"concat.generators-{cid}", ok))
 
         if "equivalence" in summary:
-            ok = _string_sets(cc.equivalence.sets) == _string_sets(summary["equivalence"])
+            ok = _string_sets(sets) == _string_sets(summary["equivalence"])
             equivalence.append(_check(f"concat.equivalence-{cid}", ok))
 
         # Generator degeneracy: same syndrome bit from every representative.
         if any(len(c.representatives) > 1 for c in cc.classes):
-            errors = [e for s in cc.equivalence.sets for e in s]
+            errors = [e for s in sets for e in s]
             ok = all(
                 len({pauli.commutes(rep, error) for rep in gclass.representatives}) == 1
                 for gclass in cc.classes
@@ -207,7 +208,7 @@ def suite_concat() -> list[Check]:
             degeneracy.append(_check(f"concat.generator-degeneracy-{cid}", ok))
 
         # Passive errors form exactly one equivalence set, pairwise degenerate.
-        in_sets = any(set(cc.passive) == set(s) for s in cc.equivalence.sets)
+        in_sets = any(set(cc.passive) == set(s) for s in sets)
         degenerate = all(
             stabilizer.are_degenerate(cc.code, a, b)
             for a, b in itertools.combinations(cc.passive, 2)

@@ -96,6 +96,16 @@ def test_fidelity_sweep_stops_at_the_last_point_below_pmax(capsys, pmin, pmax, s
     assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == grid
 
 
+def test_fidelity_sweep_cap_counts_the_rows_it_prints(capsys, monkeypatch):
+    # (0.9 - 0) / step is 99.00000000000001: 100 grid points, exactly the cap.
+    monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 100)
+    code, out = run(
+        capsys, *SWEEP, "--pmin", "0", "--pmax", "0.9", "--step", "0.00909090909090909",
+    )
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 100
+
+
 def test_fidelity_sweep_deterministic_bytes(capsys):
     args = ("fidelity", "sweep", "--code", "qd10", "--mu", "0.75",
             "--pmin", "0", "--pmax", "0.2", "--step", "0.005")
@@ -319,6 +329,8 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
         (("dfs", "build", "--elements", "I" * 13 + "," + "X" * 13), "--elements"),
         # Checked before any curve is evaluated, so no large sweep starts.
         (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "1e-9"), "--step"),
+        # A subnormal step makes the row count infinite.
+        (SWEEP + ("--pmin", "0", "--pmax", "1", "--step", "5e-324"), "--step"),
         (("threshold", "--code", "qd6", "--variant", "printed"), "--variant"),
         (SWEEP + ("--pmin", "0", "--pmax", "0.1", "--step", "0.01", "--variant", "table"),
          "--variant"),
@@ -330,7 +342,8 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
          "verify-unknown-code", "p-above-one", "shots-not-integer",
          "concat-unknown-outer", "concat-unknown-inner", "dfs-character-out-of-range",
          "dfs-elements-bad-letter", "dfs-elements-no-identity",
-         "dfs-elements-over-qubit-cap", "sweep-rows-over-cap", "threshold-variant-missing",
+         "dfs-elements-over-qubit-cap", "sweep-rows-over-cap", "sweep-rows-infinite",
+         "threshold-variant-missing",
          "sweep-variant-missing", "dfs-pairs-over-cap", "concat-over-cap",
          "verify-flag-beside-wrong-suite"],
 )

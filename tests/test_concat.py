@@ -171,7 +171,7 @@ def test_one_representative_per_class_validates(code_id):
 @pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
 def test_generator_degeneracy_same_syndrome_on_all_correctable_errors(code_id):
     cc = concat.concatenated(code_id)
-    errors = [e for s in cc.equivalence.sets for e in s]
+    errors = [e for s in cc.equivalence.values() for e in s]
     for gclass in cc.classes:
         for error in errors:
             bits = {pauli.commutes(rep, error) for rep in gclass.representatives}
@@ -196,12 +196,12 @@ def test_class_representatives_have_plus_phase_leading():
 )
 def test_equivalence_class_counts(code_id, n_sets, per_set):
     eq = concat.concatenated(code_id).equivalence
-    assert len(eq.sets) == n_sets
-    assert {len(s) for s in eq.sets} == {per_set}
-    assert eq.total_elements == n_sets * per_set
+    assert len(eq) == n_sets
+    assert {len(s) for s in eq.values()} == {per_set}
+    assert sum(map(len, eq.values())) == n_sets * per_set
     # Disjointness across sets (modulo phase).
     seen = set()
-    for members in eq.sets:
+    for members in eq.values():
         for e in members:
             key = (e.x, e.z)
             assert key not in seen
@@ -210,21 +210,21 @@ def test_equivalence_class_counts(code_id, n_sets, per_set):
 
 def test_equivalence_sets_qd6_match_printed_listing():
     eq = concat.concatenated("qd6").equivalence
-    got = {frozenset(map(str, s)) for s in eq.sets}
+    got = {frozenset(map(str, s)) for s in eq.values()}
     want = {frozenset(s) for s in _tables.EQUIV_SETS_QD6}
     assert got == want
 
 
 def test_equivalence_sets_dq6_match_printed_listing():
     eq = concat.concatenated("dq6").equivalence
-    got = {frozenset(map(str, s)) for s in eq.sets}
+    got = {frozenset(map(str, s)) for s in eq.values()}
     want = {frozenset(s) for s in _tables.EQUIV_SETS_DQ6}
     assert got == want
 
 
 def test_equivalence_qd10_contains_signed_realizations():
     eq = concat.concatenated("qd10").equivalence
-    texts = {frozenset(map(str, s)) for s in eq.sets}
+    texts = {frozenset(map(str, s)) for s in eq.values()}
     with_z = next(s for s in texts if "ZZIIIIIIII" in s)
     assert "-YYIIIIIIII" in with_z
     assert len(with_z) == 32
@@ -233,7 +233,7 @@ def test_equivalence_qd10_contains_signed_realizations():
 def test_within_set_degenerate_across_sets_not():
     for code_id in ("qd6", "dq6"):
         cc = concat.concatenated(code_id)
-        sets = cc.equivalence.sets
+        sets = cc.equivalence.values()
         for members in sets:
             for a, b in itertools.combinations(members, 2):
                 assert stabilizer.are_degenerate(cc.code, a, b)
@@ -247,7 +247,7 @@ def test_cross_set_non_degeneracy_sampled_ten_qubit():
     rng = np.random.default_rng(17)
     for code_id in ("qd10", "dq10"):
         cc = concat.concatenated(code_id)
-        sets = cc.equivalence.sets
+        sets = list(cc.equivalence.values())
         for _ in range(1000):
             i, j = rng.integers(0, len(sets), size=2)
             a = sets[i][rng.integers(0, len(sets[i]))]
@@ -279,7 +279,7 @@ def test_hamming_efficiencies_exact(code_id, phi, phi_prime):
 
 
 def test_hamming_efficiency_trivial_case():
-    eq = concat.EquivalenceClass(((pauli.identity(2),),))
+    eq = {(0,): (pauli.identity(2),)}
     phi, phi_prime = concat.hamming_efficiency(eq, 2, 1)
     assert phi == 0 and phi_prime == 0
 
@@ -294,11 +294,25 @@ def test_decoder_table_sizes_and_zero_entry(code_id, entries):
     assert cc.table[zero] == pauli.identity(cc.spec.n_cc)
 
 
-def test_decoder_corrections_share_set_syndrome():
-    for code_id in ("qd6", "dq6"):
-        cc = concat.concatenated(code_id)
-        for syn, correction in cc.table.items():
-            assert stabilizer.syndrome(cc.code, correction) == syn
+@pytest.mark.parametrize("outer, inner, order", sorted(CONCAT_PINS))
+def test_partition_is_keyed_by_each_members_syndrome(outer, inner, order):
+    spec = concat.make_spec(stabilizer.builtin(outer), stabilizer.builtin(inner), order)
+    cc = concat.build(spec.outer, spec.inner, spec.order)
+    for key, members in cc.equivalence.items():
+        assert all(stabilizer.syndrome(cc.code, m) == key for m in members)
+        assert cc.table[key] == min(members, key=str)
+    assert cc.table.keys() == cc.equivalence.keys()
+    assert cc.passive is cc.equivalence[(0,) * len(cc.code.generators)]
+    assert sum(map(len, cc.equivalence.values())) == concat.correctable_count(spec)
+
+
+def test_key_by_syndrome_rejects_a_split_set_and_a_shared_syndrome():
+    code = stabilizer.builtin("repetition-3")
+    ident, x0 = pauli.parse("III"), pauli.parse("XII")
+    with pytest.raises(RuntimeError, match="spans syndromes"):
+        concat.key_by_syndrome(code, ((ident, x0),))
+    with pytest.raises(RuntimeError, match="collision"):
+        concat.key_by_syndrome(code, ((ident,), (x0,), (pauli.parse("IXX"),)))
 
 
 def test_passive_sets():
@@ -321,7 +335,7 @@ def test_passive_sets():
 @pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
 def test_passive_set_is_single_equivalence_set_of_stabilizer_errors(code_id):
     cc = concat.concatenated(code_id)
-    matches = [s for s in cc.equivalence.sets if set(s) == set(cc.passive)]
+    matches = [s for s in cc.equivalence.values() if set(s) == set(cc.passive)]
     assert len(matches) == 1
     for error in cc.passive:
         kind = stabilizer.classify(cc.code, error).kind
@@ -413,6 +427,6 @@ def test_registry_rejects_unknown_ids():
 def test_correctable_count_matches_enumeration(outer, inner, order):
     spec = concat.make_spec(stabilizer.builtin(outer), stabilizer.builtin(inner), order)
     count = concat.correctable_count(spec)
-    assert count == concat.equivalence_classes(spec).total_elements
+    assert count == sum(map(len, concat.equivalence_classes(spec)))
     assert count <= concat.MAX_CORRECTABLE
 

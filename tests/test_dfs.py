@@ -123,6 +123,12 @@ def test_group_validation_rejects_bad_inputs():
         dfs.AbelianErrorGroup.from_strings(["III", "XXI", "IXX"])
 
 
+def test_from_strings_rejects_no_elements():
+    # No element gives no qubit count; the identity is missing either way.
+    with pytest.raises(ValueError, match="identity"):
+        dfs.AbelianErrorGroup.from_strings([])
+
+
 def test_direct_construction_validates():
     xi, zi, yi = (pauli.parse(t) for t in ("XI", "ZI", "YI"))
     with pytest.raises(ValueError, match="anticommute"):

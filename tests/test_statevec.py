@@ -151,7 +151,7 @@ def test_expectation_examples():
 def test_degenerate_pairs_act_identically_on_codewords(code_id):
     cc = concat.concatenated(code_id)
     w0, w1 = concatenated(code_id)
-    for members in cc.equivalence.sets:
+    for members in cc.equivalence.values():
         images0 = [statevec.apply_pauli(e, w0) for e in members]
         images1 = [statevec.apply_pauli(e, w1) for e in members]
         for i, j in itertools.combinations(range(len(members)), 2):
@@ -202,7 +202,7 @@ def test_kl_check_equivalence_sets_are_correctable():
     for code_id in ("qd6", "dq6"):
         cc = concat.concatenated(code_id)
         words = concatenated(code_id)
-        errors = [e for s in cc.equivalence.sets for e in s]
+        errors = [e for s in cc.equivalence.values() for e in s]
         assert len(errors) == 32
         assert statevec.kl_check(words, errors).ok
 

@@ -1,11 +1,17 @@
 """Guards on ``qdq.verify`` itself: a wrong fixture fails exactly the check
 that reads it, a missing fixture is a failed check, and names are unique."""
 
+import hashlib
 import json
 
 import pytest
 
 from qdq import _tables, cli, concat, verify
+
+
+# sha256 of `qdq verify` stdout: one line per check, 65 of them passing, and
+# the tally.  A check that disappears or is renamed changes it.
+VERIFY_PIN = "694a2e60685947879e895ed58148fb7fb6f82bc42fc3b9d0ae10ebe207bc4c96"
 
 
 def _threshold_checks(cid):
@@ -87,3 +93,10 @@ def test_check_names_are_unique_and_all_pass():
     names = [name for name, _, _ in checks]
     assert len(names) == len(set(names))
     assert [name for name, ok, _ in checks if not ok] == []
+
+
+def test_verify_report_bytes_are_pinned(capsys):
+    assert cli.main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n65/65 checks passed\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PIN
