@@ -12,15 +12,14 @@ to pmax, is a usage error, and so is a ``dfs build`` group on more than
 ``statevec.MAX_QUBITS`` (12) qubits or printing more than ``MAX_DFS_PAIRS``
 (4^10) amplitude pairs, and a ``concat build`` listing more than
 ``concat.MAX_CORRECTABLE`` (65,536) correctable errors.  ``threshold
---depth`` is at most ``MAX_DEPTH`` (100), ``--shots`` of ``mc run`` and
-``verify`` at most ``MAX_SHOTS`` (10^9), and an ``--out`` that names a
-directory or a path in a missing directory is a usage error.  So is a
-``--variant`` the code's record has no curve for, and a ``verify --code``
-or ``--shots`` beside a ``--suite`` that does not read it (``codewords``
-reads ``--code``, ``mc`` reads ``--shots``).  Code ids, curve variants and
-the variant ``table1`` reports come from :data:`qdq.concat.REGISTRY`.  The
-closed-form commands import no numpy: ``dfs``, ``mc`` and ``verify`` are
-imported by their own handlers.
+--depth`` is at most ``MAX_DEPTH`` (100), ``mc run --shots`` at most
+``MAX_SHOTS`` (10^9), and an ``--out`` that names a directory or a path in
+a missing directory is a usage error.  So is a ``--variant`` the code's
+record has no curve for.  ``verify`` takes no option but ``--out``: it
+runs every suite of :data:`qdq.verify.SUITES` at its pinned parameters.
+Code ids, curve variants and the variant ``table1`` reports come from
+:data:`qdq.concat.REGISTRY`.  The closed-form commands import no numpy:
+``dfs``, ``mc`` and ``verify`` are imported by their own handlers.
 """
 
 from __future__ import annotations
@@ -50,13 +49,9 @@ MAX_DFS_PAIRS = 4**10
 # curve evaluations grow as D, not D^2.
 MAX_DEPTH = 100
 
-# Most ``--shots`` of ``mc run`` or ``verify``: about 30 s at the 30-36 M
-# shots/s of the ten-qubit codes.
+# Most ``mc run --shots``: about 30 s at the 30-36 M shots/s of the
+# ten-qubit codes.
 MAX_SHOTS = 10**9
-
-# ``verify --suite`` choices, spelled out so that parsing imports no numpy;
-# a test keeps them equal to ``verify.SUITES``.
-VERIFY_SUITES = ("pauli", "stabilizer", "dfs", "concat", "codewords", "kl", "analytic", "mc")
 
 
 class _UsageError(ValueError):
@@ -125,9 +120,7 @@ def _cmd_concat(args: argparse.Namespace) -> int:
             f"correctable errors; the cap is {concat.MAX_CORRECTABLE}"
         )
     cc = concat.build(outer, inner, order)
-    phi, phi_prime = concat.hamming_efficiency(
-        cc.equivalence, cc.spec.n_cc, cc.spec.k_cc
-    )
+    phi, phi_prime = concat.hamming_efficiency(cc.equivalence, cc.code.n, cc.code.k)
     payload = _code_json(cc.code)
     payload.update(
         {
@@ -256,14 +249,9 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    for flag, suite in (("code", "codewords"), ("shots", "mc")):
-        if args.suite not in (None, suite) and getattr(args, flag) is not None:
-            raise _UsageError(f"--{flag} is read only by --suite {suite}, not {args.suite}")
     from . import verify
 
-    names = [args.suite] if args.suite else None
-    shots = {} if args.shots is None else {"mc_shots": args.shots}
-    checks = verify.run_suites(names, code_filter=args.code, **shots)
+    checks = verify.run_suites()
     failures = 0
     lines = []
     for name, ok, detail in checks:
@@ -286,9 +274,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     for cid in codes:
         rec = concat.REGISTRY[cid]
         cc = concat.concatenated(cid)
-        phi, phi_prime = concat.hamming_efficiency(
-            cc.equivalence, cc.spec.n_cc, cc.spec.k_cc
-        )
+        phi, phi_prime = concat.hamming_efficiency(cc.equivalence, cc.code.n, cc.code.k)
         thr = analytic.pseudothreshold(analytic.failure_curve(cid, 0.0, rec.table_variant))
         payload["e_type"].append(rec.e_type)
         payload["phi"].append(_efficiency_json(phi))
@@ -448,17 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _leaf(run, _cmd_mc)
 
-    ver = sub.add_parser("verify", help="run self-check suites")
-    ver.add_argument("--suite", choices=VERIFY_SUITES, default=None)
-    ver.add_argument(
-        "--code",
-        default=None,
-        choices=code_ids,
-        help="restrict codeword checks",
-    )
-    ver.add_argument(
-        "--shots", type=_positive_int_at_most(MAX_SHOTS), default=None, help="MC suite shots"
-    )
+    ver = sub.add_parser("verify", help="run every self-check suite")
     _leaf(ver, _cmd_verify)
 
     tab = sub.add_parser("table1", help="summary metrics for the four codes")

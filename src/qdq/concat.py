@@ -13,8 +13,8 @@ inside; DQ is the reverse.  The construction yields, per trait:
 
 Every lifted operator is an image under :func:`lift`, which carries the
 outer operator's sign, so any k = 1 code can be the outer code, a signed
-character's ``dfs.as_stabilizer_code(chi)`` included.  Structural assembly
-supports outer and inner codes with k = 1; size arithmetic is general.
+character's ``dfs.as_stabilizer_code(chi)`` included.  Outer and inner
+codes must have k = 1, so a concatenation is [[n_o n_i, 1]].
 :func:`correctable_count` gives the partition's size before any
 product is formed; the CLI refuses a build above :data:`MAX_CORRECTABLE`.
 """
@@ -46,7 +46,6 @@ class ConcatSpec:
     order: Order
     blocks: tuple[tuple[int, ...], ...]
     n_cc: int
-    k_cc: int
 
 
 @dataclass(frozen=True)
@@ -62,27 +61,13 @@ class GeneratorClass:
         return self.representatives[0]
 
 
-def concat_size(n_o: int, k_o: int, n_i: int, k_i: int) -> tuple[int, int]:
-    """Concatenated parameters: [[n_o n_i / k_i, k_o]] when k_i divides n_o,
-    else [[n_o n_i, k_o k_i]]."""
-    for label, value in (("n_o", n_o), ("k_o", k_o), ("n_i", n_i), ("k_i", k_i)):
-        if value <= 0:
-            raise ValueError(f"{label} must be positive, got {value}")
-    if k_o > n_o or k_i > n_i:
-        raise ValueError("logical qubit count cannot exceed physical count")
-    if n_o % k_i == 0:
-        return (n_o * n_i) // k_i, k_o
-    return n_o * n_i, k_o * k_i
-
-
 def make_spec(outer: StabilizerCode, inner: StabilizerCode, order: Order) -> ConcatSpec:
-    n_cc, k_cc = concat_size(outer.n, outer.k, inner.n, inner.k)
     if outer.k != 1 or inner.k != 1:
         raise ValueError("structural assembly supports outer and inner codes with k=1 only")
     blocks = tuple(
         tuple(range(b * inner.n, (b + 1) * inner.n)) for b in range(outer.n)
     )
-    return ConcatSpec(outer, inner, Order(order), blocks, n_cc, k_cc)
+    return ConcatSpec(outer, inner, Order(order), blocks, outer.n * inner.n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +156,7 @@ def concatenated_code(spec: ConcatSpec, classes: tuple[GeneratorClass, ...]) -> 
     return StabilizerCode(
         name=name,
         n=spec.n_cc,
-        k=spec.k_cc,
+        k=1,
         generators=tuple(c.representative for c in classes),
         logical_x=lift(spec.inner, spec.outer.logical_x[0]),
         logical_z=lift(spec.inner, spec.outer.logical_z[0]),

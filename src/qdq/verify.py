@@ -207,15 +207,13 @@ def suite_concat() -> list[Check]:
             )
             degeneracy.append(_check(f"concat.generator-degeneracy-{cid}", ok))
 
-        # Passive errors form exactly one equivalence set, pairwise degenerate.
-        in_sets = any(set(cc.passive) == set(s) for s in sets)
-        degenerate = all(
-            stabilizer.are_degenerate(cc.code, a, b)
-            for a, b in itertools.combinations(cc.passive, 2)
+        # Passive errors are stabilizer elements, so also pairwise degenerate.
+        ok = all(
+            stabilizer.classify(cc.code, e).kind is ErrorKind.STABILIZER for e in cc.passive
         )
-        passive.append(_check(f"concat.passive-single-set-{cid}", in_sets and degenerate))
+        passive.append(_check(f"concat.passive-single-set-{cid}", ok))
 
-        phi, phip = concat.hamming_efficiency(cc.equivalence, cc.spec.n_cc, cc.spec.k_cc)
+        phi, phip = concat.hamming_efficiency(cc.equivalence, cc.code.n, cc.code.k)
         efficiency.append(
             _check(
                 f"concat.efficiency-{cid}",
@@ -228,9 +226,9 @@ def suite_concat() -> list[Check]:
     return fixtures + counts + generators + equivalence + degeneracy + passive + efficiency
 
 
-def suite_codewords(code_filter: Optional[str] = None) -> list[Check]:
+def suite_codewords() -> list[Check]:
     checks = []
-    for cid in [code_filter] if code_filter else concat.code_ids():
+    for cid in concat.code_ids():
         record = concat.record(cid)
         missing = _missing_fixture(
             "codewords", cid, "CODEWORDS", keys=(record.outer, record.inner)
@@ -371,7 +369,7 @@ def suite_mc(shots: int = 100_000, seed: int = 2024) -> list[Check]:
     return checks
 
 
-SUITES: dict[str, Callable[..., list[Check]]] = {
+SUITES: dict[str, Callable[[], list[Check]]] = {
     "pauli": suite_pauli,
     "stabilizer": suite_stabilizer,
     "dfs": suite_dfs,
@@ -383,16 +381,12 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
 }
 
 
-def run_suites(
-    names: Optional[Iterable[str]] = None,
-    code_filter: Optional[str] = None,
-    mc_shots: int = 100_000,
-) -> list[Check]:
-    options = {"codewords": {"code_filter": code_filter}, "mc": {"shots": mc_shots}}
+def run_suites(names: Optional[Iterable[str]] = None) -> list[Check]:
+    """The checks of the named suites (default: all) at their pinned parameters."""
     results: list[Check] = []
     for name in list(names) if names else list(SUITES):
         if name not in SUITES:
             valid = ", ".join(SUITES)
             raise ValueError(f"unknown suite {name!r}; valid: {valid}")
-        results.extend(SUITES[name](**options.get(name, {})))
+        results.extend(SUITES[name]())
     return results

@@ -257,31 +257,14 @@ def test_non_finite_json_value_is_an_exit_one_error(capsys, monkeypatch):
     assert "error" in json.loads(captured.err, parse_constant=_reject_constant)
 
 
-def test_verify_single_suite_exits_zero(capsys):
-    code, out = run(capsys, "verify", "--suite", "pauli")
-    assert code == 0
-    assert "[PASS] pauli.round-trip-exhaustive-n<=3" in out
-    assert "checks passed" in out
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "pauli", "--shots", "5"],
-    ["verify", "--suite", "pauli", "--code", "qd6"],
-    ["verify", "--suite", "mc", "--code", "qd6"],
-    ["verify", "--suite", "codewords", "--shots", "5"],
-])
-def test_verify_flag_its_suite_does_not_read_is_a_usage_error(capsys, argv):
+@pytest.mark.parametrize("flag, value", [("--suite", "mc"), ("--code", "qd6"), ("--shots", "500")])
+def test_verify_takes_no_suite_code_or_shots(capsys, flag, value):
+    # verify runs every check at its pinned parameters; nothing can shrink it.
     with pytest.raises(SystemExit) as err:
-        cli.main(argv)
+        cli.main(["verify", flag, value])
     captured = capsys.readouterr()
     assert err.value.code == 2 and captured.out == ""
-    assert "is read only by --suite" in json.loads(captured.err)["error"]
-
-
-def test_verify_code_is_read_by_the_codewords_suite(capsys):
-    code, out = run(capsys, "verify", "--suite", "codewords", "--code", "qd10")
-    assert code == 0
-    assert "qd10" in out and "qd6" not in out
+    assert flag in json.loads(captured.err)["error"]
 
 
 def test_usage_error_exits_two(capsys):
@@ -318,7 +301,6 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
         (SWEEP + ("--pmin", "0", "--pmax", "0.5", "--step", "nan"), "--step"),
         (SWEEP + ("--pmin", "0.3", "--pmax", "0.1", "--step", "0.1"), "--pmin"),
         (("threshold", "--code", "dq6", "--depth", "0"), "--depth"),
-        (("verify", "--suite", "codewords", "--code", "nonexistent"), "--code"),
         (MC_RUN + ("--p", "1.5"), "--p"),
         (MC_RUN + ("--p", "0.1", "--shots", "many"), "--shots"),
         (CONCAT_BUILD + ("--outer", "nope", "--inner", "dfs-2"), "--outer"),
@@ -336,16 +318,14 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
          "--variant"),
         (("dfs", "build", "--elements", "I" * 11 + "," + "X" * 11), "--elements"),
         (CONCAT_BUILD + ("--outer", "knill-laflamme-5", "--inner", "knill-laflamme-5"), "--outer"),
-        (("verify", "--suite", "pauli", "--shots", "5"), "--shots"),
     ],
     ids=["step-zero", "step-negative", "step-inf", "step-nan", "pmin-above-pmax", "depth-zero",
-         "verify-unknown-code", "p-above-one", "shots-not-integer",
+         "p-above-one", "shots-not-integer",
          "concat-unknown-outer", "concat-unknown-inner", "dfs-character-out-of-range",
          "dfs-elements-bad-letter", "dfs-elements-no-identity",
          "dfs-elements-over-qubit-cap", "sweep-rows-over-cap", "sweep-rows-infinite",
          "threshold-variant-missing",
-         "sweep-variant-missing", "dfs-pairs-over-cap", "concat-over-cap",
-         "verify-flag-beside-wrong-suite"],
+         "sweep-variant-missing", "dfs-pairs-over-cap", "concat-over-cap"],
 )
 def test_bad_flag_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:
@@ -368,7 +348,7 @@ OUT_COMMANDS = [
     SWEEP + ("--pmin", "0", "--pmax", "0.1", "--step", "0.01"),
     ("threshold", "--code", "dq6"),
     MC_RUN + ("--p", "0.1", "--shots", "10"),
-    ("verify", "--suite", "pauli"),
+    ("verify",),
     ("table1",),
 ]
 
@@ -391,9 +371,8 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
         (("threshold", "--code", "dq6", "--depth", str(cli.MAX_DEPTH + 1)), "--depth"),
         (MC_RUN + ("--p", "0.1", "--shots", str(cli.MAX_SHOTS + 1)), "--shots"),
         (MC_RUN + ("--p", "0.1", "--shots", "100000000000000"), "--shots"),
-        (("verify", "--suite", "mc", "--shots", str(cli.MAX_SHOTS + 1)), "--shots"),
     ],
-    ids=["depth", "mc-shots", "mc-shots-huge", "verify-shots"],
+    ids=["depth", "mc-shots", "mc-shots-huge"],
 )
 def test_work_over_cap_is_a_usage_error_before_any_work(capsys, argv, flag):
     start = time.perf_counter()
@@ -409,9 +388,8 @@ def test_work_caps_admit_their_own_value():
     parser = cli.build_parser()
     depth = parser.parse_args(["threshold", "--code", "dq6", "--depth", str(cli.MAX_DEPTH)])
     assert depth.depth == cli.MAX_DEPTH
-    for argv in (MC_RUN + ("--p", "0.1"), ("verify",)):
-        args = parser.parse_args(list(argv) + ["--shots", str(cli.MAX_SHOTS)])
-        assert args.shots == cli.MAX_SHOTS
+    args = parser.parse_args(list(MC_RUN) + ["--p", "0.1", "--shots", str(cli.MAX_SHOTS)])
+    assert args.shots == cli.MAX_SHOTS
 
 
 def test_out_that_fails_at_write_time_is_an_exit_one_json_error(tmp_path, capsys):

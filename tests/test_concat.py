@@ -47,26 +47,6 @@ SIGNED_BUILDS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "args,want",
-    [
-        ((3, 1, 2, 1), (6, 1)),
-        ((5, 1, 2, 1), (10, 1)),
-        ((3, 1, 4, 2), (12, 2)),  # k_i does not divide n_o
-        ((4, 2, 6, 2), (12, 2)),  # k_i divides n_o
-    ],
-)
-def test_concat_size(args, want):
-    assert concat.concat_size(*args) == want
-
-
-def test_concat_size_domain_errors():
-    with pytest.raises(ValueError):
-        concat.concat_size(0, 1, 2, 1)
-    with pytest.raises(ValueError):
-        concat.concat_size(3, 4, 2, 1)
-
-
 def test_lift_logical_dfs2():
     dfs2 = stabilizer.builtin("dfs-2")
     lifts = {
@@ -165,7 +145,7 @@ def test_one_representative_per_class_validates(code_id):
     cc = concat.concatenated(code_id)
     report = stabilizer.validate(cc.code)
     assert report.valid, report.failures
-    assert len(cc.classes) == cc.spec.n_cc - cc.spec.k_cc
+    assert len(cc.classes) == cc.code.n - cc.code.k
 
 
 @pytest.mark.parametrize("code_id", ["qd6", "dq6", "qd10", "dq10"])
@@ -272,7 +252,7 @@ def test_cross_set_non_degeneracy_sampled_ten_qubit():
 def test_hamming_efficiencies_exact(code_id, phi, phi_prime):
     cc = concat.concatenated(code_id)
     got_phi, got_phi_prime = concat.hamming_efficiency(
-        cc.equivalence, cc.spec.n_cc, cc.spec.k_cc
+        cc.equivalence, cc.code.n, cc.code.k
     )
     assert isinstance(got_phi, Fraction) and got_phi == phi
     assert isinstance(got_phi_prime, Fraction) and got_phi_prime == phi_prime

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import qdq
-from qdq import analytic, cli, concat, verify
+from qdq import analytic, cli, concat
 
 THRESHOLD_PINS = {
     ("qd6", "literal", 0.0, 1): "fa9127cb0cf78bb87773e857bf6f438c9d07ff8f728d3b849f6e0aaf8b001934",
@@ -161,10 +161,6 @@ def test_variant_choices_are_the_records_curve_names(capsys):
     with pytest.raises(SystemExit):
         cli.main(["threshold", "--help"])
     assert "{literal,printed,table}" in capsys.readouterr().out
-
-
-def test_verify_suite_choices_equal_the_suites():
-    assert list(cli.VERIFY_SUITES) == list(verify.SUITES)
 
 
 @pytest.mark.parametrize("argv", sorted(NUMPY_FREE))

@@ -1,6 +1,7 @@
 """Guards on ``qdq.verify`` itself: a wrong fixture fails exactly the check
 that reads it, a missing fixture is a failed check, and names are unique."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -86,6 +87,38 @@ def test_a_registered_id_without_fixtures_fails_its_fixture_checks(monkeypatch, 
     assert json.loads(captured.err)["failed"] == [
         "concat.fixture-qd6x", "analytic.fixture-qd6x"
     ]
+
+
+@pytest.mark.parametrize("cid", concat.code_ids())
+def test_a_passive_set_of_detectable_errors_fails_its_check(monkeypatch, cid):
+    # A nonzero-syndrome set is still pairwise degenerate and still one of
+    # the sets; only its errors' kind tells it from the passive set.
+    built = concat.concatenated
+
+    def with_wrong_passive(code_id):
+        cc = built(code_id)
+        if code_id != cid:
+            return cc
+        syndrome = next(s for s in cc.equivalence if any(s))
+        return dataclasses.replace(cc, passive=cc.equivalence[syndrome])
+
+    monkeypatch.setattr(concat, "concatenated", with_wrong_passive)
+    failed = {name for name, ok, _ in verify.run_suites(["concat"]) if not ok}
+    assert failed == {f"concat.passive-single-set-{cid}"}
+
+
+def test_each_suite_alone_gives_its_slice_of_the_full_report():
+    # The per-suite path that the benchmark probes time.
+    full = verify.run_suites()
+    parts = {name: verify.run_suites([name]) for name in verify.SUITES}
+    assert [check for part in parts.values() for check in part] == full
+    for name, part in parts.items():
+        assert part and all(check[0].startswith(f"{name}.") for check in part), name
+
+
+def test_an_unknown_suite_names_the_valid_ones():
+    with pytest.raises(ValueError, match="valid: " + ", ".join(verify.SUITES)):
+        verify.run_suites(["bogus"])
 
 
 def test_check_names_are_unique_and_all_pass():
