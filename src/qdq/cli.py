@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 internal check failure, 2 usage error.  Flags are
 checked at parse time, or by the handler before any work when the check
 needs other input, and a usage error exits 2 with one JSON object on
-stderr.  All output is CSV or JSON on stdout (or --out); CSV bytes are
-deterministic for fixed flags.  JSON is strict: ``mc run`` reports an
+stderr.  An unrecognized argument is reported with the subcommand's usage,
+like every other error in a subcommand's flags, even when it comes before
+the subcommand.  All output is CSV or JSON on stdout (or --out); CSV bytes
+are deterministic for fixed flags.  JSON is strict: ``mc run`` reports an
 infinite z-score as null, and any other non-finite value is an exit-1
 error rather than an invalid document.  A ``fidelity sweep`` of more than
 ``MAX_SWEEP_ROWS`` (1,000,000) rows, one per grid point pmin + i * step up
@@ -445,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.handler(args)
     except _UsageError as exc:

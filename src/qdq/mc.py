@@ -249,7 +249,7 @@ def decode_shot(ccode: ConcatCode, error: PauliString) -> bool:
     if correction is None:
         return True
     residual = pauli.multiply(correction, error)
-    kind = stabilizer.classify(ccode.code, residual).kind
+    kind = stabilizer.classify(ccode.code, residual)
     if kind is ErrorKind.DETECTABLE:
         raise RuntimeError(f"corrected residual {residual} is detectable")
     return kind is ErrorKind.LOGICAL

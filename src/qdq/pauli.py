@@ -46,11 +46,6 @@ class PauliString:
             _BITS_LETTER[(self.x >> q) & 1, (self.z >> q) & 1] for q in range(self.n)
         )
 
-    def letter(self, q: int) -> str:
-        if not 0 <= q < self.n:
-            raise ValueError(f"qubit index {q} out of range for n={self.n}")
-        return _BITS_LETTER[(self.x >> q) & 1, (self.z >> q) & 1]
-
     def __str__(self) -> str:
         return format_pauli(self)
 

@@ -1,13 +1,20 @@
-"""Stabilizer codes: validation, syndromes, check words, classification, degeneracy.
+"""Stabilizer codes: validation, syndromes, check words, classification.
 
 A code is held as its generator list plus logical operator representatives
 and a per-generator passive mask (a passive generator is itself a corrected
 error and needs no measurement).  Group structure is GF(2) linear algebra
 over packed (x | z) rows (:class:`RowSpace`); only :func:`stabilizer_group`
-lists the 2**r elements, for callers that need them.  Group membership for
-classification and degeneracy is decided modulo phase: E_a E_b = -S acts on
-codewords exactly like S up to a global phase.  :func:`group_element_phase`
-reports the exact phase separately, and :func:`validate` finds -I with it:
+lists the 2**r elements, for callers that need them.  :func:`classify`
+returns an error's :class:`ErrorKind`, deciding group membership modulo
+phase: E_a E_b = -S acts on codewords exactly like S up to a global phase,
+so a and b are degenerate iff ``classify(code, multiply(a, b))`` is
+STABILIZER.  :func:`group_element_phase` reports the exact phase separately.
+
+:func:`validate` checks every commutation relation in one pass over the
+pairs of ``[generators, logical_x, logical_z]``: ``logical_x[i]`` and
+``logical_z[i]`` must anticommute and every other pair must commute.  A
+logical inside the stabilizer group would commute with its partner, so the
+pass needs no membership test.  It finds -I with :func:`group_element_phase`:
 for commuting generators, -I (or +/-i I) lies in the group iff a generator
 has phase +/-i or differs in phase from the product its bits decompose into.
 """
@@ -31,18 +38,9 @@ class ErrorKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ErrorClassification:
-    kind: ErrorKind
-    syndrome: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     valid: bool
     failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 @dataclass(frozen=True)
@@ -122,11 +120,6 @@ def _decompose(code: StabilizerCode, error: PauliString) -> Optional[int]:
     return code.row_space.decompose(row(error))
 
 
-def in_stabilizer_group(code: StabilizerCode, error: PauliString) -> bool:
-    """Membership in the generated group, modulo phase."""
-    return _decompose(code, error) is not None
-
-
 def group_element_phase(code: StabilizerCode, error: PauliString) -> Optional[int]:
     """Exact phase exponent of error relative to the matching group element.
 
@@ -185,29 +178,20 @@ def check_word(code: StabilizerCode, x: int, z: int) -> int:
     return word
 
 
-def classify(code: StabilizerCode, error: PauliString) -> ErrorClassification:
-    """Classify an error as stabilizer / logical / detectable."""
-    syn = syndrome(code, error)
-    if any(syn):
-        return ErrorClassification(ErrorKind.DETECTABLE, syn)
-    if in_stabilizer_group(code, error):
-        return ErrorClassification(ErrorKind.STABILIZER, syn)
-    return ErrorClassification(ErrorKind.LOGICAL, syn)
-
-
-def are_degenerate(code: StabilizerCode, a: PauliString, b: PauliString) -> bool:
-    """True iff a*b lies in the stabilizer group (same action on codewords)."""
-    return classify(code, pauli.multiply(a, b)).kind is ErrorKind.STABILIZER
+def classify(code: StabilizerCode, error: PauliString) -> ErrorKind:
+    """DETECTABLE if any syndrome bit is set, else STABILIZER when the error
+    lies in the group (modulo phase), else LOGICAL."""
+    if any(syndrome(code, error)):
+        return ErrorKind.DETECTABLE
+    if _decompose(code, error) is not None:
+        return ErrorKind.STABILIZER
+    return ErrorKind.LOGICAL
 
 
 def validate(code: StabilizerCode) -> ValidationReport:
     """Check every structural invariant; failures name the offending parts."""
     failures: list[str] = []
     gens = code.generators
-
-    for (i, a), (j, b) in itertools.combinations(enumerate(gens), 2):
-        if not pauli.commutes(a, b):
-            failures.append(f"generators {i} and {j} anticommute: {a} vs {b}")
 
     space = code.row_space
     if space.rank != len(gens):
@@ -225,26 +209,21 @@ def validate(code: StabilizerCode) -> ValidationReport:
     if any(g.phase % 2 or group_element_phase(code, g) for g in gens):
         failures.append("-I (or +/-i I) lies in the generated group")
 
-    for label, ops in (("logical_x", code.logical_x), ("logical_z", code.logical_z)):
-        if len(ops) != code.k:
+    operators = []
+    for label, ops in (
+        ("generator", gens),
+        ("logical_x", code.logical_x),
+        ("logical_z", code.logical_z),
+    ):
+        if label != "generator" and len(ops) != code.k:
             failures.append(f"{label} has {len(ops)} entries, expected k={code.k}")
-        for i, op in enumerate(ops):
-            for j, g in enumerate(gens):
-                if not pauli.commutes(op, g):
-                    failures.append(f"{label}[{i}] anticommutes with generator {j}")
-            if space.decompose(row(op)) is not None:
-                failures.append(f"{label}[{i}] lies in the stabilizer group")
+        operators += [(label, i, op) for i, op in enumerate(ops)]
 
-    for i, lx in enumerate(code.logical_x):
-        for j, lz in enumerate(code.logical_z):
-            expected = i == j
-            if pauli.commutes(lx, lz) == expected:
-                rel = "must anticommute with" if expected else "must commute with"
-                failures.append(f"logical_x[{i}] {rel} logical_z[{j}]")
-    for label, ops in (("logical_x", code.logical_x), ("logical_z", code.logical_z)):
-        for (i, a), (j, b) in itertools.combinations(enumerate(ops), 2):
-            if not pauli.commutes(a, b):
-                failures.append(f"{label}[{i}] anticommutes with {label}[{j}]")
+    for (la, i, a), (lb, j, b) in itertools.combinations(operators, 2):
+        partners = (la, lb) == ("logical_x", "logical_z") and i == j
+        if pauli.commutes(a, b) == partners:
+            rel = "commute" if partners else "anticommute"
+            failures.append(f"{la}[{i}] and {lb}[{j}] {rel}: {a} vs {b}")
 
     return ValidationReport(not failures, tuple(failures))
 

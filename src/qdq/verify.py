@@ -91,7 +91,7 @@ def suite_stabilizer() -> list[Check]:
     checks.append(
         _check(
             "stabilizer.classify-rep3-XXX-logical",
-            stabilizer.classify(rep3, pauli.parse("XXX")).kind is ErrorKind.LOGICAL,
+            stabilizer.classify(rep3, pauli.parse("XXX")) is ErrorKind.LOGICAL,
         )
     )
     qd6 = concat.concatenated("qd6").code
@@ -209,7 +209,7 @@ def suite_concat() -> list[Check]:
 
         # Passive errors are stabilizer elements, so also pairwise degenerate.
         ok = all(
-            stabilizer.classify(cc.code, e).kind is ErrorKind.STABILIZER for e in cc.passive
+            stabilizer.classify(cc.code, e) is ErrorKind.STABILIZER for e in cc.passive
         )
         passive.append(_check(f"concat.passive-single-set-{cid}", ok))
 

@@ -318,6 +318,8 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
          "--variant"),
         (("dfs", "build", "--elements", "I" * 11 + "," + "X" * 11), "--elements"),
         (CONCAT_BUILD + ("--outer", "knill-laflamme-5", "--inner", "knill-laflamme-5"), "--outer"),
+        (("verify", "--shots", "500"), "--shots"),
+        (MC_RUN + ("--p", "0.1", "--bogus", "1"), "--bogus"),
     ],
     ids=["step-zero", "step-negative", "step-inf", "step-nan", "pmin-above-pmax", "depth-zero",
          "p-above-one", "shots-not-integer",
@@ -325,7 +327,8 @@ CONCAT_BUILD = ("concat", "build", "--order", "qd")
          "dfs-elements-bad-letter", "dfs-elements-no-identity",
          "dfs-elements-over-qubit-cap", "sweep-rows-over-cap", "sweep-rows-infinite",
          "threshold-variant-missing",
-         "sweep-variant-missing", "dfs-pairs-over-cap", "concat-over-cap"],
+         "sweep-variant-missing", "dfs-pairs-over-cap", "concat-over-cap",
+         "verify-unknown-option", "mc-unknown-option"],
 )
 def test_bad_flag_is_a_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

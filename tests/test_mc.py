@@ -417,7 +417,7 @@ def test_perfect_correlation_blocks_are_letter_uniform():
     for _ in range(200):
         err = mc.sample_error(model, ccode, rng)
         for block in ccode.spec.blocks:
-            letters = {err.letter(q) for q in block}
+            letters = {err.letters[q] for q in block}
             assert len(letters) == 1
 
 
@@ -430,7 +430,7 @@ def test_independent_marginals_within_three_sigma():
     for _ in range(shots):
         err = mc.sample_error(model, ccode, rng)
         for q in range(6):
-            counts[q] += err.letter(q) == "X"
+            counts[q] += err.letters[q] == "X"
     sigma = math.sqrt(0.3 * 0.7 / shots)
     for q in range(6):
         assert abs(counts[q] / shots - 0.3) < 3 * sigma + 1e-9
@@ -445,7 +445,7 @@ def test_pair_block_collective_flip_probability():
     hits = 0
     for _ in range(shots):
         err = mc.sample_error(model, ccode, rng)
-        hits += err.letter(0) == "X" and err.letter(1) == "X"
+        hits += err.letters[:2] == "XX"
     want = 0.195
     sigma = math.sqrt(want * (1 - want) / shots)
     assert abs(hits / shots - want) < 3 * sigma
@@ -486,7 +486,7 @@ def test_corrected_residual_never_detectable():
             if correction is None:
                 continue  # unseen syndrome: counted as failure by contract
             residual = pauli.multiply(correction, error)
-            kind = stabilizer.classify(ccode.code, residual).kind
+            kind = stabilizer.classify(ccode.code, residual)
             assert kind in (ErrorKind.STABILIZER, ErrorKind.LOGICAL)
 
 

@@ -143,7 +143,7 @@ def test_embed_places_block():
 def test_single_and_letter_access():
     p = pauli.single(4, 2, "Y")
     assert str(p) == "IIYI"
-    assert p.letter(2) == "Y" and p.letter(0) == "I"
+    assert p.letters[2] == "Y" and p.letters[0] == "I"
     with pytest.raises(ValueError):
         pauli.single(4, 4, "X")
     with pytest.raises(ValueError):

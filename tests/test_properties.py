@@ -1,13 +1,15 @@
 """Property tests: invariants checked on drawn inputs, not spot values."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdq import _kernels, analytic, concat, mc, pauli, stabilizer
+from qdq.stabilizer import ErrorKind
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -277,7 +279,8 @@ def test_equal_check_words_iff_degenerate(name, data):
     if data.draw(st.booleans()):
         b = pauli.multiply(b, data.draw(pauli_strings(code.n)))
     word_a, word_b = (stabilizer.check_word(code, p.x, p.z) for p in (a, b))
-    assert (word_a == word_b) == stabilizer.are_degenerate(code, a, b)
+    degenerate = stabilizer.classify(code, pauli.multiply(a, b)) is ErrorKind.STABILIZER
+    assert (word_a == word_b) == degenerate
     r = len(code.generators)
     assert tuple(word_a >> i & 1 for i in range(r)) == stabilizer.syndrome(code, a)
 
@@ -327,3 +330,98 @@ def test_validate_finds_minus_identity_exactly_when_the_closure_does(texts):
     )
     flagged = MINUS_I in stabilizer.validate(code).failures
     assert flagged == _closure_has_minus_identity(gens)
+
+
+@st.composite
+def drawn_codes(draw):
+    """A code on n <= 4 qubits: a drawn Clifford circuit maps generators Z_q
+    (q < n - k) and logical pairs (X_q, Z_q) to a valid code with random
+    signs, then up to three drawn edits may break it: a random phase, the
+    product of two operators, a fresh Pauli, a deleted or a copied
+    operator, or a new k, so the logical counts need not match k."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    bits = [(1 << q, 0) for q in range(n)] + [(0, 1 << q) for q in range(n)]
+    for gate, a, b in draw(st.lists(st.tuples(st.sampled_from("HSC"), qubit, qubit))):
+        for i, (x, z) in enumerate(bits):
+            if gate == "H":
+                swap = ((x ^ z) >> a & 1) << a
+                x, z = x ^ swap, z ^ swap
+            elif gate == "S":
+                z ^= x & (1 << a)
+            elif a != b:  # CNOT a -> b
+                x, z = x ^ (x >> a & 1) << b, z ^ (z >> b & 1) << a
+            bits[i] = (x, z)
+    signed = [pauli.PauliString(n, x, z, draw(st.sampled_from((0, 2)))) for x, z in bits]
+    k = draw(st.integers(min_value=0, max_value=min(2, n)))
+    # Generators, logical_x and logical_z, edited in place below.
+    parts = [signed[n : 2 * n - k], signed[n - k : n], signed[2 * n - k :]]
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    paulis = st.builds(pauli.PauliString, st.just(n), masks, masks, st.integers(0, 3))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        filled = [ops for ops in parts if ops]
+        if not filled:
+            break
+        edit = draw(st.sampled_from(["phase", "times", "fresh", "drop", "copy", "k"]))
+        if edit == "k":
+            k = draw(st.integers(min_value=0, max_value=2))
+        elif edit == "copy":
+            source = draw(st.sampled_from(filled))
+            draw(st.sampled_from(parts)).append(draw(st.sampled_from(source)))
+        else:
+            ops = draw(st.sampled_from(filled))
+            i = draw(st.integers(min_value=0, max_value=len(ops) - 1))
+            if edit == "phase":
+                ops[i] = pauli.PauliString(n, ops[i].x, ops[i].z, draw(st.integers(0, 3)))
+            elif edit == "times":
+                other = draw(st.sampled_from(draw(st.sampled_from(filled))))
+                ops[i] = pauli.multiply(ops[i], other)
+            elif edit == "fresh":
+                ops[i] = draw(paulis)
+            else:
+                del ops[i]
+    gens, logical_x, logical_z = map(tuple, parts)
+    return stabilizer.StabilizerCode(
+        "drawn", n, k, gens, logical_x, logical_z, (False,) * len(gens)
+    )
+
+
+def _valid_by_enumeration(code) -> bool:
+    """Reference verdict from the enumerated group and pairwise relations."""
+    gens, lx, lz = code.generators, code.logical_x, code.logical_z
+    patterns = {(e.x, e.z) for e in stabilizer.stabilizer_group(code)}
+    named = [("g", i, g) for i, g in enumerate(gens)]
+    named += [("x", i, p) for i, p in enumerate(lx)] + [("z", i, p) for i, p in enumerate(lz)]
+    relations = all(
+        pauli.commutes(a, b) != ((la, lb) == ("x", "z") and i == j)
+        for (la, i, a), (lb, j, b) in itertools.combinations(named, 2)
+    )
+    # The closure is enumerated only once the generators commute, where it
+    # has at most 4 * 2**r elements.
+    return (
+        len(patterns) == 2 ** len(gens)
+        and len(gens) == code.n - code.k
+        and len(lx) == len(lz) == code.k
+        and relations
+        and not _closure_has_minus_identity(gens)
+        and all((p.x, p.z) not in patterns for p in lx + lz)
+    )
+
+
+def _code(n, k, gens, lx, lz):
+    gens, lx, lz = (tuple(map(pauli.parse, texts)) for texts in (gens, lx, lz))
+    return stabilizer.StabilizerCode("drawn", n, k, gens, lx, lz, (False,) * len(gens))
+
+
+@settings(max_examples=400)
+@given(code=drawn_codes())
+@example(code=_code(3, 1, ["ZZI", "ZIZ"], ["XXX"], ["ZII"]))  # repetition-3
+@example(code=_code(3, 1, ["ZZI", "ZIZ"], ["XXX"], ["ZZI"]))  # logical_z in the group
+@example(code=_code(3, 1, ["ZZI", "-ZIZ"], ["-XXX"], ["iZII"]))  # signs are free
+@example(code=_code(2, 2, [], ["XI", "IX"], ["ZI", "IZ"]))
+@example(code=_code(2, 2, [], ["XI", "IX"], ["ZI"]))  # one logical_z short
+@example(code=_code(2, 1, ["XX"], ["XI"], ["ZZ"]))  # dfs-2
+@example(code=_code(2, 1, ["XX"], ["XI", "IX"], ["ZZ", "ZZ"]))  # k = 1, two pairs
+@example(code=_code(1, 0, ["iZ"], [], []))
+def test_validate_agrees_with_enumeration(code):
+    assert stabilizer.validate(code).valid == _valid_by_enumeration(code)

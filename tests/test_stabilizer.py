@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -60,7 +61,14 @@ def test_validate_flags_anticommuting_pair():
     )
     report = stabilizer.validate(bad)
     assert not report.valid
-    assert any("0 and 1 anticommute" in f for f in report.failures)
+    assert report.failures == ("generator[0] and generator[1] anticommute: XI vs ZI",)
+
+
+def test_validate_flags_a_logical_inside_the_group():
+    rep3 = stabilizer.builtin("repetition-3")
+    bad = dataclasses.replace(rep3, logical_z=(pauli.parse("ZZI"),))
+    report = stabilizer.validate(bad)
+    assert report.failures == ("logical_x[0] and logical_z[0] commute: XXX vs ZZI",)
 
 
 def test_validate_flags_dependent_generators():
@@ -110,21 +118,21 @@ def test_syndrome_dimension_mismatch():
 
 def test_classify_examples():
     qd6 = concat.concatenated("qd6").code
-    assert stabilizer.classify(qd6, pauli.parse("XXIIXX")).kind is ErrorKind.STABILIZER
+    assert stabilizer.classify(qd6, pauli.parse("XXIIXX")) is ErrorKind.STABILIZER
 
     rep3 = stabilizer.builtin("repetition-3")
-    got = stabilizer.classify(rep3, pauli.parse("XXX"))
-    assert got.kind is ErrorKind.LOGICAL and got.syndrome == (0, 0)
-    assert stabilizer.classify(rep3, pauli.identity(3)).kind is ErrorKind.STABILIZER
-    assert stabilizer.classify(rep3, pauli.parse("XII")).kind is ErrorKind.DETECTABLE
+    assert stabilizer.classify(rep3, pauli.parse("XXX")) is ErrorKind.LOGICAL
+    assert stabilizer.syndrome(rep3, pauli.parse("XXX")) == (0, 0)
+    assert stabilizer.classify(rep3, pauli.identity(3)) is ErrorKind.STABILIZER
+    assert stabilizer.classify(rep3, pauli.parse("XII")) is ErrorKind.DETECTABLE
 
 
 def test_classify_with_decoder_table():
     cc = concat.concatenated("qd6")
-    got = stabilizer.classify(cc.code, pauli.parse("XIIIII"))
-    assert got.kind is ErrorKind.DETECTABLE and got.syndrome in cc.table
-    got = stabilizer.classify(cc.code, pauli.parse("ZIIIII"))
-    assert got.kind is ErrorKind.DETECTABLE and got.syndrome not in cc.table
+    for text, decodable in (("XIIIII", True), ("ZIIIII", False)):
+        error = pauli.parse(text)
+        assert stabilizer.classify(cc.code, error) is ErrorKind.DETECTABLE
+        assert (stabilizer.syndrome(cc.code, error) in cc.table) == decodable
 
 
 def test_classify_membership_matches_product_enumeration():
@@ -140,20 +148,36 @@ def test_classify_membership_matches_product_enumeration():
             errors.append(pauli.parse("XX"))
         for err in errors:
             expected = (err.x, err.z) in group
-            got = stabilizer.classify(code, err).kind is ErrorKind.STABILIZER
+            got = stabilizer.classify(code, err) is ErrorKind.STABILIZER
             assert got == expected, (code.name, str(err))
+
+
+@pytest.mark.parametrize("code_id", concat.code_ids())
+def test_classify_on_each_registry_code(code_id):
+    cc = concat.concatenated(code_id)
+    code, identity = cc.code, pauli.identity(cc.code.n)
+    for error in (identity, *cc.passive):
+        assert stabilizer.classify(code, error) is ErrorKind.STABILIZER, str(error)
+    for logical in (code.logical_x[0], code.logical_z[0]):
+        assert stabilizer.classify(code, logical) is ErrorKind.LOGICAL, str(logical)
+    assert cc.table[(0,) * len(code.generators)] == identity
+    for correction in cc.table.values():
+        if correction != identity:
+            assert stabilizer.classify(code, correction) is ErrorKind.DETECTABLE, str(correction)
+
+
+def _degenerate(code, a, b):
+    return stabilizer.classify(code, pauli.multiply(a, b)) is ErrorKind.STABILIZER
 
 
 def test_are_degenerate_examples():
     qd6 = concat.concatenated("qd6").code
-    assert stabilizer.are_degenerate(qd6, pauli.parse("XIIIII"), pauli.parse("IXIIII"))
+    assert _degenerate(qd6, pauli.parse("XIIIII"), pauli.parse("IXIIII"))
     p = pauli.parse("XIXIXI")
-    assert stabilizer.are_degenerate(qd6, p, p)
+    assert _degenerate(qd6, p, p)
 
     dq6 = concat.concatenated("dq6").code
-    assert not stabilizer.are_degenerate(
-        dq6, pauli.parse("XIIIII"), pauli.parse("IXIIII")
-    )
+    assert not _degenerate(dq6, pauli.parse("XIIIII"), pauli.parse("IXIIII"))
 
 
 def test_degeneracy_is_equivalence_relation_on_weight_two_errors():
@@ -172,7 +196,7 @@ def test_degeneracy_is_equivalence_relation_on_weight_two_errors():
     for cid in ("qd6", "dq6"):
         code = concat.concatenated(cid).code
         deg = {
-            (i, j): stabilizer.are_degenerate(code, a, b)
+            (i, j): _degenerate(code, a, b)
             for (i, a), (j, b) in itertools.product(enumerate(errors), repeat=2)
         }
         for i in range(len(errors)):
@@ -198,7 +222,7 @@ def test_group_element_phase_diagnostic():
     # XXIIII * ZZZZII = -YYZZII exactly, so the signed string is literally a
     # group element while the unsigned one matches only up to -1.
     minus = pauli.parse("-YYZZII")
-    assert stabilizer.in_stabilizer_group(qd6, minus)
+    assert stabilizer.classify(qd6, minus) is ErrorKind.STABILIZER
     assert stabilizer.group_element_phase(qd6, minus) == 0
     assert stabilizer.group_element_phase(qd6, pauli.parse("YYZZII")) == 2
     assert stabilizer.group_element_phase(qd6, pauli.parse("XXIIII")) == 0
@@ -210,7 +234,7 @@ def test_row_lookup_checks_the_error_length():
         "zi", 2, 1, (pauli.parse("ZI"),), (pauli.parse("IX"),), (pauli.parse("IZ"),), (False,)
     )
     assert stabilizer.group_element_phase(code, pauli.parse("ZI")) == 0
-    for lookup in (stabilizer.group_element_phase, stabilizer.in_stabilizer_group):
+    for lookup in (stabilizer.group_element_phase, stabilizer.classify):
         with pytest.raises(ValueError, match="acts on 1 qubits, code has 2"):
             lookup(code, pauli.parse("Z"))
 
@@ -222,7 +246,7 @@ def test_dropped_code_leaves_nothing_alive():
         (pauli.parse("XXX"),), (pauli.parse("ZII"),), (False, False),
     )
     assert stabilizer.validate(code).valid
-    assert stabilizer.in_stabilizer_group(code, pauli.parse("IZZ"))
+    assert stabilizer.classify(code, pauli.parse("IZZ")) is ErrorKind.STABILIZER
     alive = weakref.ref(generator)
     del code, generator
     gc.collect()
